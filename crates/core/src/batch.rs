@@ -20,10 +20,10 @@
 //!   loop-top at or past its divergence time it **forks from the leader
 //!   lane** — the same capture-and-restore used by checkpoint forks,
 //!   with the plan swapped at restore — and becomes a live SoA lane.
-//! - A live lane is **evicted to the scalar path** when its firmware
-//!   control path departs the leader's
-//!   ([`Firmware::control_path_matches`]): past that point the lanes'
-//!   behaviour has genuinely diverged and lockstep stops paying.
+//! - A live lane **stays in lockstep until it retires** (grace period
+//!   elapsed, duration cap, or watchdog), even after its firmware mode
+//!   splits from its siblings': firmware, link and workload run per
+//!   lane, and the one sensor-noise draw per step serves every lane.
 //! - A lane whose plan never diverges from the common intersection
 //!   (possible only when it equals the leader's plan) simply rides the
 //!   leader's result.
@@ -60,7 +60,7 @@ const WALL_CLOCK_STRIDE: u64 = 4096;
 /// the protocol tracker, the workload script and the trace-in-progress.
 /// These are exactly the non-`sim` fields of a [`RunSnapshot`], which is
 /// what lets a lane fork from the leader with the standard
-/// capture-and-restore path and finish on the scalar path unchanged.
+/// capture-and-restore path.
 struct LaneCtx {
     /// Position of this lane's plan in the batch's input plan list.
     index: usize,
@@ -128,9 +128,11 @@ impl LaneCtx {
         }
     }
 
-    /// Assembles the lane's [`RunResult`], transcribed from the scalar
-    /// finalisation tail in [`crate::runner`].
-    fn finalize(self, sim: &Simulator, sample_interval: f64, verdict: RunVerdict) -> RunResult {
+    /// Retires the lane: extracts it from the batch and assembles its
+    /// [`RunResult`], transcribed from the scalar finalisation tail in
+    /// [`crate::runner`].
+    fn retire(self, batch: &mut LaneBatch, sample_interval: f64, verdict: RunVerdict) -> RunResult {
+        let (sim, _output) = batch.extract_lane(self.lane);
         let mode_transitions: Vec<ModeTransition> = self
             .injector
             .mode_transitions()
@@ -165,29 +167,6 @@ impl LaneCtx {
             verdict,
         }
     }
-}
-
-/// Extracts a lane from the batch and finalises its result, noting the
-/// leader's retirement so virtual lanes can be resolved afterwards.
-#[allow(clippy::too_many_arguments)]
-fn retire(
-    ctx: LaneCtx,
-    batch: &mut LaneBatch,
-    verdict: RunVerdict,
-    sample_interval: f64,
-    results: &mut [Option<RunResult>],
-    leader: usize,
-    leader_result: &mut Option<RunResult>,
-    leader_live: &mut bool,
-) {
-    let (sim, _output) = batch.extract_lane(ctx.lane);
-    let idx = ctx.index;
-    let result = ctx.finalize(&sim, sample_interval, verdict);
-    if idx == leader {
-        *leader_result = Some(result.clone());
-        *leader_live = false;
-    }
-    results[idx] = Some(result);
 }
 
 impl ExperimentRunner {
@@ -233,8 +212,7 @@ impl ExperimentRunner {
     /// scalar loop in [`crate::runner`], in the same phase order:
     /// watchdogs, checkpoint cut (leader only), ground-station exchange,
     /// terminal/grace retirement, firmware step, physics step, trace
-    /// sampling — plus fork processing at the very top and divergence
-    /// eviction at the very bottom.
+    /// sampling — plus fork processing at the very top.
     fn execute_batch(&mut self, plans: Vec<FaultPlan>) -> Vec<RunResult> {
         debug_assert!(plans.len() >= 2, "a batch needs at least two lanes");
         self.runs += plans.len() as u64;
@@ -249,7 +227,7 @@ impl ExperimentRunner {
             .map(|_| std::time::Instant::now());
 
         // Config scalars copied out so no `&self.config` borrow is held
-        // across the cache/eviction calls below.
+        // across the cache calls below.
         let dt = self.config.dt;
         let max_duration = self.config.max_duration;
         let sample_interval = self.config.sample_interval;
@@ -453,15 +431,17 @@ impl ExperimentRunner {
         let mut anchor_idx = anchors.partition_point(|&a| a < batch.time() + dt);
 
         let mut results: Vec<Option<RunResult>> = plans.iter().map(|_| None).collect();
-        let mut leader_result: Option<RunResult> = None;
-        let mut leader_live = true;
+        // The leader leads the ctx list until it retires (forks push to
+        // the back, retirement keeps the order).
+        let leader_live = |ctxs: &[LaneCtx]| ctxs.first().is_some_and(|c| c.index == leader);
+        let mut verdict = RunVerdict::Completed;
         let mut outbox: Vec<Message> = Vec::new();
         // Reused per iteration: live lane ids in batch slot order, and
         // the motor command for each (steady state allocates nothing).
         let mut lane_order: Vec<u64> = Vec::new();
         let mut commands: Vec<MotorCommands> = Vec::new();
 
-        'lockstep: loop {
+        loop {
             if ctxs.is_empty() {
                 break;
             }
@@ -477,9 +457,8 @@ impl ExperimentRunner {
             // disagree on is scheduled at or after this loop-top, and a
             // failure scheduled at `t` first fires at the firmware step
             // at `t`.
-            while leader_live && pending.first().is_some_and(|&(d, _)| time >= d) {
+            while leader_live(&ctxs) && pending.first().is_some_and(|&(d, _)| time >= d) {
                 let (_, idx) = pending.remove(0);
-                debug_assert_eq!(ctxs[0].index, leader, "leader lane leads the ctx list");
                 let lane = batch.clone_lane(ctxs[0].lane);
                 let forked = {
                     let leader_ctx = &mut ctxs[0];
@@ -527,29 +506,17 @@ impl ExperimentRunner {
                 }
             }
             if tripped {
-                while let Some(ctx) = ctxs.pop() {
-                    retire(
-                        ctx,
-                        &mut batch,
-                        RunVerdict::Diverged,
-                        sample_interval,
-                        &mut results,
-                        leader,
-                        &mut leader_result,
-                        &mut leader_live,
-                    );
-                }
-                break 'lockstep;
+                verdict = RunVerdict::Diverged;
+                break;
             }
 
             // Checkpoint recording, leader lane only, cut at the top of
             // the loop body exactly like the scalar runner: the snapshot
             // captures the leader's state before this step's exchange,
             // firmware step and physics step.
-            if checkpointing && leader_live {
+            if checkpointing && leader_live(&ctxs) {
                 let anchor_due = anchor_idx < anchors.len() && time + dt > anchors[anchor_idx];
                 if time >= next_checkpoint || anchor_due {
-                    debug_assert_eq!(ctxs[0].index, leader);
                     let leader_ctx = &mut ctxs[0];
                     let snapshot = RunSnapshot {
                         sim: batch.lane_snapshot(leader_ctx.lane),
@@ -593,16 +560,9 @@ impl ExperimentRunner {
             while ci < ctxs.len() {
                 if ctxs[ci].exchange(&mut outbox, time, grace_period) {
                     let ctx = ctxs.remove(ci);
-                    retire(
-                        ctx,
-                        &mut batch,
-                        RunVerdict::Completed,
-                        sample_interval,
-                        &mut results,
-                        leader,
-                        &mut leader_result,
-                        &mut leader_live,
-                    );
+                    let idx = ctx.index;
+                    results[idx] =
+                        Some(ctx.retire(&mut batch, sample_interval, RunVerdict::Completed));
                 } else {
                     ci += 1;
                 }
@@ -632,49 +592,21 @@ impl ExperimentRunner {
                 let output = batch.output(ctx.lane);
                 ctx.post_step(output, time, sample_interval);
             }
-
-            // Divergence-aware eviction: a lane whose firmware control
-            // path departed the leader's finishes on the scalar path.
-            // Purely a heuristic about where lockstep stops paying —
-            // the scalar continuation is bit-identical wherever the cut
-            // lands (`avis-sim` proves eviction at *every* step matches
-            // the scalar oracle).
-            if leader_live {
-                let mut ei = 1;
-                while ei < ctxs.len() {
-                    if ctxs[ei].firmware.control_path_matches(&ctxs[0].firmware) {
-                        ei += 1;
-                        continue;
-                    }
-                    let ctx = ctxs.remove(ei);
-                    let (lane_sim, lane_output) = batch.extract_lane(ctx.lane);
-                    let idx = ctx.index;
-                    let result = self.run_lane_to_completion(ctx, lane_sim, lane_output, started);
-                    results[idx] = Some(result);
-                }
-            }
         }
 
-        // Natural end of simulated time: every still-batched lane
-        // completes at the duration cap, like the scalar loop condition.
-        while let Some(ctx) = ctxs.pop() {
-            retire(
-                ctx,
-                &mut batch,
-                RunVerdict::Completed,
-                sample_interval,
-                &mut results,
-                leader,
-                &mut leader_result,
-                &mut leader_live,
-            );
+        // Every still-batched lane retires together: completed at the
+        // duration cap, like the scalar loop condition, or diverged when a
+        // watchdog tripped.
+        for ctx in ctxs.drain(..) {
+            let idx = ctx.index;
+            results[idx] = Some(ctx.retire(&mut batch, sample_interval, verdict.clone()));
         }
 
         // Virtual lanes — and pending lanes whose divergence time lies
         // beyond the leader's finish — ride the leader's result: their
         // scalar runs would be step-for-step identical to the leader's
         // (no fault the plans disagree on ever fired).
-        if let Some(leader_result) = &leader_result {
+        if let Some(leader_result) = results[leader].clone() {
             for idx in virtuals
                 .iter()
                 .copied()
@@ -697,51 +629,6 @@ impl ExperimentRunner {
             .map(|(idx, slot)| slot.unwrap_or_else(|| self.run_with_plan(plans[idx].clone())))
             .collect()
     }
-
-    /// Finishes an evicted lane on the scalar path: the same loop as
-    /// [`crate::runner`]'s, continued from the lane's extracted state.
-    /// Evicted lanes record no checkpoints — only the batch leader cuts,
-    /// matching the one-provisioned-run-per-batch accounting.
-    fn run_lane_to_completion(
-        &mut self,
-        mut ctx: LaneCtx,
-        mut sim: Simulator,
-        mut output: StepOutput,
-        // avis-lint: allow(d1, reason = "wall-clock watchdog handle inherited from the batch; compared, never replayed")
-        started: Option<std::time::Instant>,
-    ) -> RunResult {
-        let dt = self.config.dt;
-        let max_duration = self.config.max_duration;
-        let sample_interval = self.config.sample_interval;
-        let grace_period = self.config.grace_period;
-        let max_steps = self.config.watchdog.max_steps;
-        let wall_clock_limit = self.config.watchdog.wall_clock_seconds;
-        let mut outbox: Vec<Message> = Vec::new();
-        let mut verdict = RunVerdict::Completed;
-        while sim.time() < max_duration {
-            let time = sim.time();
-            self.step_cursor = (time / dt).round() as u64;
-            if max_steps.is_some_and(|m| self.step_cursor >= m) {
-                verdict = RunVerdict::Diverged;
-                break;
-            }
-            if let (Some(limit), Some(started)) = (wall_clock_limit, started) {
-                if self.step_cursor.is_multiple_of(WALL_CLOCK_STRIDE)
-                    && started.elapsed().as_secs_f64() > limit
-                {
-                    verdict = RunVerdict::Diverged;
-                    break;
-                }
-            }
-            if ctx.exchange(&mut outbox, time, grace_period) {
-                break;
-            }
-            let motor = ctx.firmware.step(&output.readings, time, dt);
-            sim.step_into(&motor, &mut output);
-            ctx.post_step(&output, time, sample_interval);
-        }
-        ctx.finalize(&sim, sample_interval, verdict)
-    }
 }
 
 #[cfg(test)]
@@ -749,7 +636,7 @@ mod tests {
     use super::*;
     use crate::runner::ExperimentConfig;
     use crate::snapshot::CheckpointConfig;
-    use avis_firmware::{BugSet, FirmwareProfile};
+    use avis_firmware::{BugSet, FirmwareProfile, OperatingMode};
     use avis_hinj::{FaultSpec, LinkDirection, LinkFaultKind, LinkFaultSpec};
     use avis_sim::{SensorInstance, SensorKind, SensorNoise};
     use avis_workload::auto_box_mission;
@@ -772,10 +659,13 @@ mod tests {
         )])
     }
 
-    fn scalar_reference(plans: &[FaultPlan]) -> Vec<RunResult> {
-        let mut cfg = quiet_config();
+    fn cold_runner(mut cfg: ExperimentConfig) -> ExperimentRunner {
         cfg.checkpoints = CheckpointConfig::disabled();
-        let mut runner = ExperimentRunner::new(cfg);
+        ExperimentRunner::new(cfg)
+    }
+
+    fn scalar_reference(cfg: ExperimentConfig, plans: &[FaultPlan]) -> Vec<RunResult> {
+        let mut runner = cold_runner(cfg);
         plans
             .iter()
             .map(|p| runner.run_with_plan(p.clone()))
@@ -785,24 +675,22 @@ mod tests {
     #[test]
     fn batched_sweep_is_bit_identical_to_scalar() {
         let plans: Vec<FaultPlan> = [40.0, 48.0, 56.0, 64.0].map(gps_plan).to_vec();
-        let reference = scalar_reference(&plans);
-        let mut cfg = quiet_config();
-        cfg.checkpoints = CheckpointConfig::disabled();
-        let mut runner = ExperimentRunner::new(cfg);
-        let batched = runner.run_batch_contained(plans);
+        let reference = scalar_reference(quiet_config(), &plans);
+        let batched = cold_runner(quiet_config()).run_batch_contained(plans);
         assert_eq!(batched, reference, "batched lockstep diverged from scalar");
     }
 
     #[test]
     fn batched_run_with_checkpointing_matches_cold_scalar() {
         let plans: Vec<FaultPlan> = [35.0, 50.0, 65.0].map(gps_plan).to_vec();
-        let reference = scalar_reference(&plans);
+        let reference = scalar_reference(quiet_config(), &plans);
         let mut runner = ExperimentRunner::new(quiet_config());
         let batched = runner.run_batch_contained(plans.clone());
         assert_eq!(batched, reference, "checkpoint recording perturbed a lane");
         // The leader's cuts must be forkable by a later scalar run.
         let follow_up = runner.run_with_plan(gps_plan(70.0));
-        assert_eq!(follow_up, scalar_reference(&[gps_plan(70.0)])[0]);
+        let expected = scalar_reference(quiet_config(), &[gps_plan(70.0)]);
+        assert_eq!(follow_up, expected[0]);
         assert!(
             runner.checkpoint_stats().forked_runs >= 1,
             "the follow-up scenario should fork from the batch leader's cuts: {:?}",
@@ -815,11 +703,8 @@ mod tests {
         // Two identical plans: one is the leader, the other is virtual
         // (never diverges from the intersection) and clones the result.
         let plans = vec![gps_plan(45.0), gps_plan(45.0)];
-        let reference = scalar_reference(&plans);
-        let mut cfg = quiet_config();
-        cfg.checkpoints = CheckpointConfig::disabled();
-        let mut runner = ExperimentRunner::new(cfg);
-        let batched = runner.run_batch_contained(plans);
+        let reference = scalar_reference(quiet_config(), &plans);
+        let batched = cold_runner(quiet_config()).run_batch_contained(plans);
         assert_eq!(batched, reference);
     }
 
@@ -840,11 +725,8 @@ mod tests {
             gps_plan(60.0),
             FaultPlan::empty(),
         ];
-        let reference = scalar_reference(&plans);
-        let mut cfg = quiet_config();
-        cfg.checkpoints = CheckpointConfig::disabled();
-        let mut runner = ExperimentRunner::new(cfg);
-        let batched = runner.run_batch_contained(plans);
+        let reference = scalar_reference(quiet_config(), &plans);
+        let batched = cold_runner(quiet_config()).run_batch_contained(plans);
         assert_eq!(
             batched, reference,
             "link-faulted lane diverged from its scalar run"
@@ -855,11 +737,8 @@ mod tests {
     fn early_divergence_forks_at_time_zero() {
         // A plan injecting at t=0 forks at the very first loop-top.
         let plans = vec![gps_plan(0.0), gps_plan(55.0)];
-        let reference = scalar_reference(&plans);
-        let mut cfg = quiet_config();
-        cfg.checkpoints = CheckpointConfig::disabled();
-        let mut runner = ExperimentRunner::new(cfg);
-        let batched = runner.run_batch_contained(plans);
+        let reference = scalar_reference(quiet_config(), &plans);
+        let batched = cold_runner(quiet_config()).run_batch_contained(plans);
         assert_eq!(batched, reference);
     }
 
@@ -867,25 +746,72 @@ mod tests {
     fn step_budget_trips_batched_lanes_like_scalar() {
         let plans = vec![gps_plan(30.0), gps_plan(45.0)];
         let mut cfg = quiet_config();
-        cfg.checkpoints = CheckpointConfig::disabled();
         cfg.watchdog.max_steps = Some(8_000);
-        let mut scalar_runner = ExperimentRunner::new(cfg.clone());
-        let reference: Vec<RunResult> = plans
-            .iter()
-            .map(|p| scalar_runner.run_with_plan(p.clone()))
-            .collect();
+        let reference = scalar_reference(cfg.clone(), &plans);
         assert!(reference.iter().all(|r| r.verdict == RunVerdict::Diverged));
-        let mut runner = ExperimentRunner::new(cfg);
-        let batched = runner.run_batch_contained(plans);
+        let batched = cold_runner(cfg).run_batch_contained(plans);
         assert_eq!(batched, reference);
+    }
+
+    fn sensor_plan(kind: SensorKind, count: u8, time: f64) -> FaultPlan {
+        FaultPlan::from_specs(
+            (0..count).map(|i| FaultSpec::new(SensorInstance::new(kind, i), time)),
+        )
+    }
+
+    #[test]
+    fn noisy_lanes_with_split_modes_match_cold_scalar() {
+        // Default (noisy) sensors on the current code base. From the
+        // forks at t = 20 one lane flies its Auto legs, one enters a
+        // battery failsafe (RTL) and one loses every gyroscope and
+        // crashes; all three keep stepping in one batch on each step's
+        // shared noise draw and must still equal cold scalar runs.
+        let mut cfg = quiet_config();
+        cfg.noise = None;
+        let plans = vec![
+            gps_plan(40.0),
+            sensor_plan(SensorKind::Battery, 1, 20.0),
+            sensor_plan(SensorKind::Gyroscope, 3, 20.0),
+        ];
+        let cold = scalar_reference(cfg.clone(), &plans);
+        let modes = |i: usize| -> Vec<OperatingMode> {
+            cold[i]
+                .trace
+                .mode_transitions
+                .iter()
+                .map(|t| t.mode)
+                .collect()
+        };
+        let (last_leg, rtl) = (
+            OperatingMode::Auto { leg: 4 },
+            OperatingMode::ReturnToLaunch,
+        );
+        assert!(modes(0).contains(&last_leg) && !modes(0).contains(&rtl));
+        assert!(modes(1).contains(&rtl) && !modes(1).contains(&last_leg));
+        let crashed: Vec<bool> = cold.iter().map(|r| r.trace.collision.is_some()).collect();
+        assert_eq!(crashed, [false, false, true]);
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            assert_ne!(
+                cold[a].trace.mode_transitions,
+                cold[b].trace.mode_transitions
+            );
+        }
+
+        let batched = cold_runner(cfg.clone()).run_batch_contained(plans.clone());
+        assert_eq!(batched, cold, "cold batch diverged from cold scalar");
+        // Checkpointed: the first batch records the leader's cuts, the
+        // second resumes its leader from one of them.
+        let mut runner = ExperimentRunner::new(cfg);
+        for pass in ["recording", "resuming"] {
+            let batched = runner.run_batch_contained(plans.clone());
+            assert_eq!(batched, cold, "{pass} batch diverged from cold scalar");
+        }
+        assert!(runner.checkpoint_stats().forked_runs >= 1);
     }
 
     #[test]
     fn singleton_batch_falls_back_to_scalar_contained() {
-        let mut cfg = quiet_config();
-        cfg.checkpoints = CheckpointConfig::disabled();
-        let mut runner = ExperimentRunner::new(cfg);
-        let batched = runner.run_batch_contained(vec![gps_plan(40.0)]);
-        assert_eq!(batched, scalar_reference(&[gps_plan(40.0)]));
+        let batched = cold_runner(quiet_config()).run_batch_contained(vec![gps_plan(40.0)]);
+        assert_eq!(batched, scalar_reference(quiet_config(), &[gps_plan(40.0)]));
     }
 }

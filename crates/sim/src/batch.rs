@@ -21,17 +21,18 @@
 //! line-by-line transcriptions of [`Simulator::step_into`],
 //! `Quadcopter::step`, `MotorBank::step` and `SensorSuite::sample_into`,
 //! and the tests in this module pin byte-equivalence per lane — including
-//! evicting a lane at every possible step and finishing it scalar.
+//! lanes stepped together on diverging commands and a lane extracted at
+//! every possible step.
 //!
 //! # Lane lifecycle
 //!
 //! Lanes are created from a scalar simulator ([`LaneBatch::from_simulator`]),
-//! forked by cloning an existing lane ([`LaneBatch::clone_lane`]), and
-//! leave the batch either through [`LaneBatch::extract_lane`] (eviction:
-//! the lane continues on the scalar path) or [`LaneBatch::lane_snapshot`]
-//! (a checkpoint cut of one lane). Lane ids are stable across removals;
-//! slot order (and therefore [`LaneBatch::step_lanes`] command order)
-//! follows [`LaneBatch::lane_ids`].
+//! forked by cloning an existing lane ([`LaneBatch::clone_lane`]), step
+//! together however far their states diverge, and leave the batch only
+//! when their run retires, through [`LaneBatch::extract_lane`].
+//! [`LaneBatch::lane_snapshot`] is a checkpoint cut of one lane. Lane ids
+//! are stable across removals; slot order (and therefore
+//! [`LaneBatch::step_lanes`] command order) follows [`LaneBatch::lane_ids`].
 
 use crate::environment::{Collision, Environment};
 use crate::math::{clamp, Quat, Vec3};
@@ -324,9 +325,9 @@ impl LaneBatch {
         }
     }
 
-    /// Evicts a lane: removes it from the batch and returns it as a
-    /// scalar [`Simulator`] plus its most recent step output, ready to
-    /// continue on the scalar path bit-identically.
+    /// Retires a lane: removes it from the batch and returns it as a
+    /// scalar [`Simulator`] plus its most recent step output, bit-identical
+    /// to a scalar simulator that took the same steps.
     pub fn extract_lane(&mut self, id: u64) -> (Simulator, StepOutput) {
         let slot = self.slot(id);
         let sim = self.compose(slot);

@@ -362,8 +362,8 @@ fn batched_lockstep_campaign_is_bit_identical_to_scalar() {
 fn batched_lockstep_link_fault_campaign_matches_scalar() {
     // Same pin under a pinned link-fault environment: lanes carry live
     // `FaultyLink` shims whose rng streams must stay aligned with the
-    // scalar path, and mid-air arm storms force mode departures that
-    // evict lanes to the scalar loop. Cold and checkpointed batched
+    // scalar path, and mid-air arm storms split the lanes' modes while
+    // they keep stepping in lockstep. Cold and checkpointed batched
     // execution still reproduce the scalar result — and the seeded
     // protocol defect — exactly.
     let run = |lanes: usize, parallelism: usize, checkpoints: CheckpointConfig| {
