@@ -8,8 +8,12 @@
 //! A test run is a pure function of its [`FaultPlan`]: the simulator, the
 //! firmware, the injector and the workload are all deterministic given
 //! the experiment seed, and the *only* way the plan influences the run is
-//! through `should_fail(instance, time)` queries, whose answers depend
-//! solely on the failures scheduled at or before the query time. Two
+//! through `should_fail(instance, time)` answers, which depend solely on
+//! the failures scheduled at or before the query time. (The sensor
+//! frontend gets those answers once per step and repeats them inside the
+//! injector's read window, which reaches up to the next scheduled
+//! failure; a fork's plan swap voids the window, so the new plan's
+//! answers are re-decided on the first step after the restore.) Two
 //! plans whose failures scheduled before time `T` are identical therefore
 //! drive bit-identical executions up to `T` — everything before the first
 //! divergent injection is shared work.

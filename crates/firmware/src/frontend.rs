@@ -1,14 +1,26 @@
 //! The sensor frontend: instrumented drivers with redundancy failover.
 //!
 //! This is where the paper's `libhinj` instrumentation lives (§V.B.1): the
-//! `read()` path of every sensor driver consults the fault injector, and a
-//! read that the injector fails is reported to the rest of the firmware as
-//! a failed instance. The frontend then *fails over* to the next healthy
-//! instance of the same kind — the behaviour the sensor-instance-symmetry
-//! pruning policy relies on (the firmware reacts to the *role* of the
-//! failed sensor, not to which physical instance failed).
+//! `read()` path of every sensor driver is decided by the fault injector,
+//! and a read that the injector fails is reported to the rest of the
+//! firmware as a failed instance. The frontend then *fails over* to the
+//! next healthy instance of the same kind — the behaviour the
+//! sensor-instance-symmetry pruning policy relies on (the firmware reacts
+//! to the *role* of the failed sensor, not to which physical instance
+//! failed).
+//!
+//! The frontend consults the injector once per step, under one lock. A
+//! full pass has the injector decide every read in order
+//! ([`avis_hinj::FaultInjector::read_step`], with
+//! [`avis_hinj::FaultInjector::should_fail`] as the per-read reference
+//! semantics) and keeps the reading layout and the chosen instance per
+//! kind. While the next steps read the same instances and the injector
+//! confirms its [`avis_hinj::ReadWindow`] still holds, the decisions
+//! repeat, so the step is accounted in one call and the selection is
+//! copied from the kept positions; reads are re-decided when a planned
+//! failure comes due, time leaves the window, or the plan changes.
 
-use avis_hinj::SharedInjector;
+use avis_hinj::{FaultInjector, ReadWindow, SharedInjector};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
 use avis_sim::{SensorInstance, SensorKind, SensorReading, SensorValue, Vec3};
 use serde::{Deserialize, Serialize};
@@ -175,11 +187,51 @@ impl SensorHealth {
     }
 }
 
+/// Most readings per step the frontend can replay from its read cache
+/// (one bit each in [`ReadCache::chosen`]); a step with more readings
+/// always takes the full pass.
+const CACHED_READINGS: usize = u32::BITS as usize;
+
+/// What the last full pass decided: the instance of every reading, in
+/// order, and the positions of the readings chosen for the available
+/// kinds. Inline and fixed-size, so replaying it never allocates.
+#[derive(Debug, Clone, Copy)]
+struct ReadCache {
+    /// The injector's window for the pass; `None` when nothing is cached.
+    window: Option<ReadWindow>,
+    layout: [SensorInstance; CACHED_READINGS],
+    len: usize,
+    /// Bit `i` set when reading `i` was chosen. The pass chooses in
+    /// position order, so replaying the bits low to high repeats it.
+    chosen: u32,
+}
+
+impl ReadCache {
+    const EMPTY: ReadCache = ReadCache {
+        window: None,
+        layout: [SensorInstance::new(SensorKind::Accelerometer, 0); CACHED_READINGS],
+        len: 0,
+        chosen: 0,
+    };
+
+    /// The cached window, if `readings` carry exactly the cached layout.
+    fn window_for(&self, readings: &[SensorReading]) -> Option<ReadWindow> {
+        let same_layout = readings.len() == self.len
+            && readings
+                .iter()
+                .zip(&self.layout)
+                .all(|(reading, instance)| reading.instance == *instance);
+        self.window.filter(|_| same_layout)
+    }
+}
+
 /// The sensor frontend.
 #[derive(Debug, Clone)]
 pub struct SensorFrontend {
     injector: SharedInjector,
     health: SensorHealth,
+    // snapshot: skip(derived from the last full pass; not encoded or diffed, the next full pass rebuilds it)
+    cache: ReadCache,
 }
 
 impl SensorFrontend {
@@ -188,6 +240,7 @@ impl SensorFrontend {
         SensorFrontend {
             injector,
             health: SensorHealth::default(),
+            cache: ReadCache::EMPTY,
         }
     }
 
@@ -197,6 +250,7 @@ impl SensorFrontend {
     /// instead of the one the snapshot was recorded against.
     pub fn rebind_injector(&mut self, injector: SharedInjector) {
         self.injector = injector;
+        self.cache = ReadCache::EMPTY;
     }
 
     /// The current health summary.
@@ -204,63 +258,115 @@ impl SensorFrontend {
         &self.health
     }
 
-    /// Overwrites the health bookkeeping (the frontend's only mutable
+    /// Overwrites the health bookkeeping (the frontend's only persistent
     /// state). Used when a firmware is re-materialised from a delta
     /// snapshot whose health diverged from the chain's base keyframe.
     pub fn restore_health(&mut self, health: SensorHealth) {
         self.health = health;
+        self.cache = ReadCache::EMPTY;
     }
 
-    /// Processes one step's raw readings: every read consults the fault
-    /// injector (the instrumented driver path); surviving readings are
-    /// reduced to one selected measurement per kind, preferring the lowest
-    /// healthy instance index (primary first, then backups in order).
+    /// Processes one step's raw readings under one injector lock: every
+    /// read is decided by the fault injector (the instrumented driver
+    /// path); surviving readings are reduced to one selected measurement
+    /// per kind, preferring the lowest healthy instance index (primary
+    /// first, then backups in order). When the readings carry the last
+    /// full pass's instances and the injector confirms those decisions
+    /// still hold at `time`, the step repeats them instead of re-deciding.
     pub fn ingest(&mut self, readings: &[SensorReading], time: f64) -> SelectedSensors {
-        let mut selected = SelectedSensors::default();
-        // The per-kind bookkeeping lives in the health struct's vectors and
-        // is rebuilt in place each step, so the control loop performs no
-        // per-step heap allocations once the vectors reach capacity.
-        self.health.active.clear();
-        self.health.total_per_kind.clear();
-
-        // Readings arrive ordered by kind and instance index from the
-        // simulator; iterate in order so instance 0 wins when healthy.
-        for reading in readings {
-            let kind = reading.instance.kind;
-            match self
-                .health
-                .total_per_kind
-                .iter_mut()
-                .find(|(k, _)| *k == kind)
-            {
-                Some((_, n)) => *n += 1,
-                None => self.health.total_per_kind.push((kind, 1)),
-            }
-            let failed = self.injector.should_fail(reading.instance, time);
-            if failed {
-                self.health.failed_instances.insert(reading.instance);
-                continue;
-            }
-            let already_chosen = self.health.active.iter().any(|(k, _)| *k == kind);
-            if already_chosen {
-                continue;
-            }
-            self.health.active.push((kind, reading.instance));
-            match reading.value {
-                SensorValue::Acceleration(v) => selected.accel = Some(v),
-                SensorValue::AngularRate(v) => selected.gyro = Some(v),
-                SensorValue::GpsFix {
-                    position, velocity, ..
-                } => selected.gps = Some(GpsSolution { position, velocity }),
-                SensorValue::PressureAltitude(alt) => selected.baro_altitude = Some(alt),
-                SensorValue::MagneticHeading(h) => selected.heading = Some(h),
-                SensorValue::BatteryStatus { voltage, remaining } => {
-                    selected.battery = Some(BatteryState { voltage, remaining })
+        let SensorFrontend {
+            injector,
+            health,
+            cache,
+        } = self;
+        injector.with(|inj| {
+            match cache.window_for(readings) {
+                Some(window) if inj.repeat_step(&window, time) => {
+                    // Same decisions as the cached pass, so `health` is
+                    // already what a full pass would rebuild.
+                    let mut selected = SelectedSensors::default();
+                    let mut chosen = cache.chosen;
+                    while chosen != 0 {
+                        let position = chosen.trailing_zeros() as usize;
+                        select(&mut selected, readings[position].value);
+                        chosen &= chosen - 1;
+                    }
+                    selected
                 }
+                _ => full_pass(health, cache, inj, readings, time),
             }
-        }
+        })
+    }
+}
 
-        selected
+/// Decides every read of the step through the injector, rebuilds the
+/// health tables in place (no per-step heap allocation once the vectors
+/// reach capacity) and records the pass in `cache`.
+fn full_pass(
+    health: &mut SensorHealth,
+    cache: &mut ReadCache,
+    inj: &mut FaultInjector,
+    readings: &[SensorReading],
+    time: f64,
+) -> SelectedSensors {
+    let mut selected = SelectedSensors::default();
+    health.active.clear();
+    health.total_per_kind.clear();
+    cache.chosen = 0;
+
+    // Readings arrive ordered by kind and instance index from the
+    // simulator; iterate in order so instance 0 wins when healthy.
+    let window = inj.read_step(
+        readings.iter().map(|reading| reading.instance),
+        time,
+        |position, failed| {
+            let reading = &readings[position];
+            let kind = reading.instance.kind;
+            match health.total_per_kind.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => health.total_per_kind.push((kind, 1)),
+            }
+            if failed {
+                health.failed_instances.insert(reading.instance);
+                return;
+            }
+            let already_chosen = health.active.iter().any(|(k, _)| *k == kind);
+            if already_chosen {
+                return;
+            }
+            health.active.push((kind, reading.instance));
+            if position < CACHED_READINGS {
+                cache.chosen |= 1 << position;
+            }
+            select(&mut selected, reading.value);
+        },
+    );
+
+    if readings.len() <= CACHED_READINGS {
+        for (slot, reading) in cache.layout.iter_mut().zip(readings) {
+            *slot = reading.instance;
+        }
+        cache.len = readings.len();
+        cache.window = Some(window);
+    } else {
+        cache.window = None;
+    }
+    selected
+}
+
+/// Stores a chosen reading's measurement in its slot of the selection.
+fn select(selected: &mut SelectedSensors, value: SensorValue) {
+    match value {
+        SensorValue::Acceleration(v) => selected.accel = Some(v),
+        SensorValue::AngularRate(v) => selected.gyro = Some(v),
+        SensorValue::GpsFix {
+            position, velocity, ..
+        } => selected.gps = Some(GpsSolution { position, velocity }),
+        SensorValue::PressureAltitude(alt) => selected.baro_altitude = Some(alt),
+        SensorValue::MagneticHeading(h) => selected.heading = Some(h),
+        SensorValue::BatteryStatus { voltage, remaining } => {
+            selected.battery = Some(BatteryState { voltage, remaining })
+        }
     }
 }
 
@@ -373,5 +479,158 @@ mod tests {
         let injections = shared.injections();
         assert_eq!(injections.len(), 1);
         assert_eq!(injections[0].instance, gps0);
+    }
+
+    /// The per-read reference: one `should_fail` call per reading, the
+    /// loop `ingest` ran before reads were decided once per step.
+    fn oracle_ingest(
+        health: &mut SensorHealth,
+        inj: &mut FaultInjector,
+        readings: &[SensorReading],
+        time: f64,
+    ) -> SelectedSensors {
+        let mut selected = SelectedSensors::default();
+        health.active.clear();
+        health.total_per_kind.clear();
+        for reading in readings {
+            let kind = reading.instance.kind;
+            match health.total_per_kind.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => health.total_per_kind.push((kind, 1)),
+            }
+            if inj.should_fail(reading.instance, time) {
+                health.failed_instances.insert(reading.instance);
+                continue;
+            }
+            if health.active.iter().any(|(k, _)| *k == kind) {
+                continue;
+            }
+            health.active.push((kind, reading.instance));
+            select(&mut selected, reading.value);
+        }
+        selected
+    }
+
+    /// A frontend stepped next to the per-read oracle, compared on every
+    /// observable after every step.
+    struct Twin {
+        fe: SensorFrontend,
+        shared: SharedInjector,
+        oracle: FaultInjector,
+        oracle_health: SensorHealth,
+        steps: usize,
+    }
+
+    impl Twin {
+        fn new(plan: FaultPlan) -> Self {
+            let shared = SharedInjector::new(FaultInjector::new(plan.clone()));
+            Twin {
+                fe: SensorFrontend::new(shared.clone()),
+                shared,
+                oracle: FaultInjector::new(plan),
+                oracle_health: SensorHealth::default(),
+                steps: 0,
+            }
+        }
+
+        fn step_with(&mut self, readings: &[SensorReading], time: f64) {
+            let got = self.fe.ingest(readings, time);
+            let want = oracle_ingest(&mut self.oracle_health, &mut self.oracle, readings, time);
+            let at = format!("step {} at t={time}", self.steps);
+            assert_eq!(got, want, "selection, {at}");
+            assert_eq!(self.fe.health(), &self.oracle_health, "health, {at}");
+            self.shared.with(|inj| {
+                assert_eq!(inj.total_reads(), self.oracle.total_reads(), "reads, {at}");
+                assert_eq!(
+                    inj.failed_reads(),
+                    self.oracle.failed_reads(),
+                    "failed, {at}"
+                );
+                assert_eq!(
+                    inj.injections().to_vec(),
+                    self.oracle.injections().to_vec(),
+                    "injections, {at}"
+                );
+            });
+            self.steps += 1;
+        }
+
+        fn step(&mut self, time: f64) {
+            self.step_with(&readings_at(time, time), time);
+        }
+    }
+
+    #[test]
+    fn cached_reads_match_per_read_oracle() {
+        let gps0 = SensorInstance::new(SensorKind::Gps, 0);
+        let baro = |i| SensorInstance::new(SensorKind::Barometer, i);
+        let compass0 = SensorInstance::new(SensorKind::Compass, 0);
+        let mut twin = Twin::new(FaultPlan::from_specs(vec![
+            FaultSpec::new(gps0, 1.0),
+            FaultSpec::new(baro(0), 2.5),
+            FaultSpec::new(baro(1), 2.5),
+        ]));
+
+        // Cross both failure times step by step; k / 400 is exact, so the
+        // sequence lands exactly on 1.0 s and 2.5 s.
+        for k in 0..=1200 {
+            twin.step(k as f64 / 400.0);
+        }
+        assert!(twin.fe.health().primary_failed(SensorKind::Gps));
+        assert!(twin.fe.health().kind_failed(SensorKind::Barometer));
+
+        // Time going backwards: at 1.0 s the barometers read again.
+        twin.step(6.0);
+        twin.step(6.0);
+        for k in 400..420 {
+            twin.step(k as f64 / 400.0);
+        }
+        assert_eq!(
+            twin.fe.health().active_instance(SensorKind::Barometer),
+            Some(baro(0))
+        );
+
+        // A plan swapped mid-run fails the compass at a time already past.
+        let swapped = FaultPlan::from_specs(vec![FaultSpec::new(compass0, 0.5)]);
+        twin.shared.with(|inj| inj.set_plan(swapped.clone()));
+        twin.oracle.set_plan(swapped);
+        for k in 420..440 {
+            twin.step(k as f64 / 400.0);
+        }
+        assert_eq!(
+            twin.fe.health().active_instance(SensorKind::Compass),
+            Some(SensorInstance::new(SensorKind::Compass, 1))
+        );
+
+        // A different instance list: the same readings in reverse order
+        // (same length), then without the battery (shorter).
+        let mut reversed = readings_at(1.2, 1.2);
+        reversed.reverse();
+        twin.step_with(&reversed, 1.2);
+        twin.step_with(&reversed, 1.2025);
+        let mut shorter = readings_at(1.205, 1.205);
+        shorter.retain(|r| r.instance.kind != SensorKind::Battery);
+        twin.step_with(&shorter, 1.205);
+        twin.step_with(&shorter, 1.2075);
+        for k in 484..490 {
+            twin.step(k as f64 / 400.0);
+        }
+
+        // Restored health is rebuilt by the next step, not kept.
+        twin.fe.restore_health(SensorHealth::default());
+        twin.oracle_health = SensorHealth::default();
+        for k in 490..495 {
+            twin.step(k as f64 / 400.0);
+        }
+
+        // Rebinding to a fresh injector re-decides under its plan.
+        let rebound = FaultPlan::from_specs(vec![FaultSpec::new(baro(0), 1.25)]);
+        twin.shared = SharedInjector::new(FaultInjector::new(rebound.clone()));
+        twin.fe.rebind_injector(twin.shared.clone());
+        twin.oracle = FaultInjector::new(rebound);
+        for k in 495..520 {
+            twin.step(k as f64 / 400.0);
+        }
+        assert!(twin.fe.health().primary_failed(SensorKind::Barometer));
     }
 }

@@ -5,10 +5,18 @@
 //!
 //! `libhinj` sits between the model checker and the UAV firmware:
 //!
-//! 1. every instrumented sensor-driver `read()` asks the injector whether
-//!    the read should fail (a *clean failure*: the instance stops
-//!    communicating and the driver reports it failed, permanently for the
-//!    rest of the run);
+//! 1. every instrumented sensor-driver `read()` is decided by the injector:
+//!    the read fails when its instance has a *clean failure* scheduled at
+//!    or before the read time (the instance stops communicating and the
+//!    driver reports it failed, permanently for the rest of the run).
+//!    [`FaultInjector::should_fail`] is the reference semantics for one
+//!    read. The firmware consults the injector once per step instead:
+//!    [`FaultInjector::read_step`] decides the step's reads in order and
+//!    reports the [`ReadWindow`] over which those decisions repeat (up to
+//!    the next planned failure time), and [`FaultInjector::repeat_step`]
+//!    accounts each later step inside that window without re-deciding it.
+//!    Reads are re-decided only when a planned failure comes due, time
+//!    leaves the window, or the plan is replaced;
 //! 2. the firmware's set-mode routine reports every operating-mode change
 //!    through [`FaultInjector::report_mode`], which is how SABRE learns
 //!    where the mode transitions are;
@@ -277,6 +285,17 @@ impl FaultPlan {
         self.failure_time(instance).is_some_and(|t| time >= t)
     }
 
+    /// The earliest scheduled sensor failure strictly after `time`, or
+    /// infinity when none is left: no [`FaultPlan::is_failed`] answer
+    /// changes between `time` and this instant.
+    fn next_failure_after(&self, time: f64) -> f64 {
+        self.faults
+            .values()
+            .copied()
+            .filter(|&t| t > time)
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Serialises the plan for the persistent store: the sensor specs in
     /// instance order plus the link specs, both reconstructible through
     /// the plan builders.
@@ -391,6 +410,26 @@ pub struct ModeTransitionRecord {
     pub to: ModeCode,
 }
 
+/// The span of simulation time over which one step's read decisions
+/// repeat, reported by [`FaultInjector::read_step`]: from the evaluation
+/// time up to (excluding) the plan's next failure time after it. Under an
+/// unchanged plan, every read of the same instances at a time inside the
+/// window gets the answer it got at the window's start.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadWindow {
+    start: f64,
+    end: f64,
+    reads: u64,
+    failed: u64,
+}
+
+impl ReadWindow {
+    /// Whether `time` lies inside the window.
+    fn contains(&self, time: f64) -> bool {
+        self.start <= time && time < self.end
+    }
+}
+
 /// The fault injector: decides per-read whether a sensor instance has
 /// failed and records mode transitions and delivered injections.
 #[derive(Debug, Clone, Default)]
@@ -401,6 +440,10 @@ pub struct FaultInjector {
     current_mode: Option<ModeCode>,
     reads: u64,
     failed_reads: u64,
+    /// The window of the last [`FaultInjector::read_step`], voided by any
+    /// plan change.
+    // snapshot: skip(derived from the last step's reads; the next read_step rebuilds it)
+    window: Option<ReadWindow>,
 }
 
 impl FaultInjector {
@@ -426,6 +469,7 @@ impl FaultInjector {
     /// experiment runner uses this to hand the plan back to the caller at
     /// the end of a run without cloning it up front.
     pub fn take_plan(&mut self) -> FaultPlan {
+        self.window = None;
         std::mem::take(&mut self.plan)
     }
 
@@ -434,7 +478,10 @@ impl FaultInjector {
     /// fork primitive of checkpointed replay: a run restored from a
     /// snapshot keeps the injector bookkeeping of the shared prefix and
     /// swaps in the new scenario's plan for the remainder of the run.
+    /// Voids the current [`ReadWindow`]: the next step's reads are
+    /// re-decided under the new plan.
     pub fn set_plan(&mut self, plan: FaultPlan) {
+        self.window = None;
         self.plan = plan;
     }
 
@@ -468,6 +515,51 @@ impl FaultInjector {
             }
         }
         failed
+    }
+
+    /// Decides one step's driver reads under one call: applies
+    /// [`FaultInjector::should_fail`] to each of `instances` in order at
+    /// `time` (same counters, same first-failed-read records), passing
+    /// each read's position and decision to `on_read`. Returns the window
+    /// over which these decisions repeat; it stays current until the next
+    /// `read_step` or plan change, and [`FaultInjector::repeat_step`]
+    /// accounts later steps against it.
+    pub fn read_step(
+        &mut self,
+        instances: impl IntoIterator<Item = SensorInstance>,
+        time: f64,
+        mut on_read: impl FnMut(usize, bool),
+    ) -> ReadWindow {
+        let (reads, failed) = (self.reads, self.failed_reads);
+        for (position, instance) in instances.into_iter().enumerate() {
+            on_read(position, self.should_fail(instance, time));
+        }
+        let window = ReadWindow {
+            start: time,
+            end: self.plan.next_failure_after(time),
+            reads: self.reads - reads,
+            failed: self.failed_reads - failed,
+        };
+        self.window = Some(window);
+        window
+    }
+
+    /// Accounts a whole step at `time` that reads the same instances as
+    /// the [`FaultInjector::read_step`] that returned `window`, and whose
+    /// answers therefore repeat: the read counters advance exactly as that
+    /// step's `should_fail` calls would advance them, and every failed
+    /// instance already has its first-failed-read record. Returns `false`,
+    /// accounting nothing, when the answers may differ — `window` is not
+    /// this injector's current window (a later `read_step` or a plan
+    /// change replaced or voided it) or `time` lies outside it, in either
+    /// direction. The caller then re-decides the step with `read_step`.
+    pub fn repeat_step(&mut self, window: &ReadWindow, time: f64) -> bool {
+        if self.window.as_ref() != Some(window) || !window.contains(time) {
+            return false;
+        }
+        self.reads += window.reads;
+        self.failed_reads += window.failed;
+        true
     }
 
     /// Non-mutating variant of [`FaultInjector::should_fail`] for callers
@@ -614,6 +706,7 @@ impl InjectorSnapshot {
                 current_mode: delta.current_mode,
                 reads: delta.reads,
                 failed_reads: delta.failed_reads,
+                window: None,
             },
         }
     }
@@ -738,11 +831,6 @@ impl SharedInjector {
         SharedInjector::new(FaultInjector::passthrough())
     }
 
-    /// Driver-side query: should this read fail?
-    pub fn should_fail(&self, instance: SensorInstance, time: f64) -> bool {
-        self.inner.lock().should_fail(instance, time)
-    }
-
     /// Firmware-side mode report.
     pub fn report_mode(&self, time: f64, mode: ModeCode) {
         self.inner.lock().report_mode(time, mode);
@@ -863,6 +951,39 @@ mod tests {
     }
 
     #[test]
+    fn read_window_repeats_until_next_failure_or_plan_change() {
+        let plan = FaultPlan::from_specs(vec![
+            FaultSpec::new(gps(0), 2.0),
+            FaultSpec::new(baro(0), 5.0),
+        ]);
+        let mut inj = FaultInjector::new(plan.clone());
+        let mut decisions = Vec::new();
+        let window = inj.read_step([gps(0), gps(1), baro(0)], 2.0, |position, failed| {
+            decisions.push((position, failed))
+        });
+        assert_eq!(decisions, vec![(0, true), (1, false), (2, false)]);
+        assert_eq!((window.start, window.end), (2.0, 5.0));
+        assert_eq!((inj.total_reads(), inj.failed_reads()), (3, 1));
+
+        // Inside the window the step repeats and is accounted whole.
+        assert!(inj.repeat_step(&window, 4.999));
+        assert_eq!((inj.total_reads(), inj.failed_reads()), (6, 2));
+        // Outside it, in either direction, nothing is accounted.
+        assert!(!inj.repeat_step(&window, 5.0));
+        assert!(!inj.repeat_step(&window, 1.999));
+        assert_eq!((inj.total_reads(), inj.failed_reads()), (6, 2));
+        // A plan change voids the window, even for the same plan.
+        inj.set_plan(plan);
+        assert!(!inj.repeat_step(&window, 3.0));
+        // The last failure's window is unbounded.
+        let last = inj.read_step([baro(0)], 5.0, |_, _| {});
+        assert_eq!(last.end, f64::INFINITY);
+        assert!(!inj.repeat_step(&window, 3.0), "superseded window");
+        assert!(inj.repeat_step(&last, 1e9));
+        assert_eq!(inj.injections().len(), 2);
+    }
+
+    #[test]
     fn mode_transitions_deduplicated() {
         let mut inj = FaultInjector::passthrough();
         inj.report_mode(0.0, ModeCode(0));
@@ -886,7 +1007,7 @@ mod tests {
             FaultSpec::new(gps(0), 1.0),
         ])));
         let other = shared.clone();
-        assert!(other.should_fail(gps(0), 2.0));
+        assert!(other.with(|i| i.should_fail(gps(0), 2.0)));
         shared.report_mode(0.1, ModeCode(7));
         assert_eq!(other.mode_transitions().len(), 1);
         assert_eq!(other.injections().len(), 1);

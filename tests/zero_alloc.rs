@@ -86,8 +86,42 @@ fn simulator_step_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn firmware_in_the_loop_step_is_allocation_free_between_telemetry_bursts() {
+    use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, SharedInjector};
+    use avis_sim::{SensorInstance, SensorKind};
+
+    let (grew, steps) = firmware_loop_allocations(SharedInjector::passthrough());
+    // The disarmed control loop allocates only for rate-limited telemetry
+    // formatting, if anything; it must be far below one allocation per
+    // step. (The strict zero bound lives on the simulator loop above.)
+    assert!(
+        (grew as f64) < steps as f64 * 0.01,
+        "firmware loop allocated {grew} times over {steps} steps"
+    );
+
+    // The same bound with failures coming due inside the measured window
+    // (which spans 5 s to 55 s): the full read pass at each failure time
+    // and the failover after it stay allocation-free.
+    let faulted = SharedInjector::new(FaultInjector::new(FaultPlan::from_specs(vec![
+        FaultSpec::new(SensorInstance::new(SensorKind::Gps, 0), 12.0),
+        FaultSpec::new(SensorInstance::new(SensorKind::Compass, 0), 30.0),
+    ])));
+    let (grew, steps) = firmware_loop_allocations(faulted.clone());
+    assert_eq!(
+        faulted.injections().len(),
+        2,
+        "both failures must fire in the measured window"
+    );
+    assert!(
+        (grew as f64) < steps as f64 * 0.01,
+        "faulted firmware loop allocated {grew} times over {steps} steps"
+    );
+}
+
+/// Runs the disarmed firmware-in-the-loop step for 5 simulated seconds of
+/// warm-up, then counts the allocations of the next 20 000 steps (50 s).
+/// Returns `(allocations, measured steps)`.
+fn firmware_loop_allocations(injector: avis_hinj::SharedInjector) -> (u64, usize) {
     use avis_firmware::{BugSet, Firmware, FirmwareProfile};
-    use avis_hinj::SharedInjector;
     use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
     use avis_sim::{Environment, MotorCommands};
 
@@ -99,7 +133,6 @@ fn firmware_in_the_loop_step_is_allocation_free_between_telemetry_bursts() {
         },
         Environment::open_field(),
     );
-    let injector = SharedInjector::passthrough();
     let mut firmware = Firmware::new(FirmwareProfile::ArduPilotLike, BugSet::none(), injector);
     let mut output = StepOutput::empty();
     let mut telemetry = Vec::new();
@@ -121,12 +154,5 @@ fn firmware_in_the_loop_step_is_allocation_free_between_telemetry_bursts() {
     let before = allocations();
     let steps = 20_000;
     run(steps);
-    let grew = allocations() - before;
-    // The disarmed control loop allocates only for rate-limited telemetry
-    // formatting, if anything; it must be far below one allocation per
-    // step. (The strict zero bound lives on the simulator loop above.)
-    assert!(
-        (grew as f64) < steps as f64 * 0.01,
-        "firmware loop allocated {grew} times over {steps} steps"
-    );
+    (allocations() - before, steps)
 }
