@@ -501,12 +501,13 @@ fn run_lockstep_sweep(
 }
 
 /// The batched-lockstep scenario: the late-injection sweep at equal
-/// budget, scalar (`lockstep_lanes(1)`) vs SoA lockstep batches of 4 and
-/// 8 lanes (`avis::batch`), on the fixed and buggy firmware. The
-/// fixed-sweep cold comparison is the headline step-throughput number —
-/// the sweep's same-slot siblings share a 60–95% injection prefix that
-/// lockstep advances once instead of `lanes` times — and carries a
-/// hard gate of >= 1.5x. Every batched variant (cold, checkpointed,
+/// budget, scalar (`lockstep_lanes(1)`) vs SoA lockstep at 4 and 8
+/// lanes (`avis::batch`), on the fixed and buggy firmware. At
+/// parallelism 1 the lane count sizes the serial wavefront (16 and 32
+/// plans), and each wavefront runs as one batch. The fixed-sweep cold
+/// comparison is the headline step-throughput number — the sweep's
+/// plans share a 60–95% injection prefix that lockstep advances once
+/// instead of once per plan — and carries a hard gate of >= 1.5x. Every batched variant (cold, checkpointed,
 /// parallelism 1 and 4) must be bit-identical to the scalar cold
 /// reference.
 fn bench_batched_lockstep(simulations: usize) -> (Json, f64) {

@@ -1,11 +1,15 @@
-//! Batched lockstep execution: one worker advances a set of *sibling*
+//! Batched lockstep execution: one runner advances a set of
 //! fault-injection scenarios through a single SoA [`LaneBatch`] instead
 //! of running them back to back.
 //!
-//! The prefix-sharded dispatcher already routes plans that share an
-//! injection prefix to the same worker (see [`crate::engine`]); those
-//! plans execute identical state evolutions until their first divergent
-//! failure fires. Batching exploits exactly that window:
+//! Any plan set forms a batch (see [`crate::engine`] for who builds
+//! them). A pool worker batches chunks of one prefix family, which the
+//! prefix-sharded dispatcher routed to it. The serial engine batches a
+//! whole speculative wavefront, mixing families. Every scenario runs on
+//! the one experiment seed, so all plans execute identical state
+//! evolutions until their first divergent failure fires. Plans of other
+//! families simply diverge earlier. Batching exploits exactly that
+//! window:
 //!
 //! - The **leader** — the plan whose first divergence from the batch's
 //!   common plan intersection is latest (ties break to the lowest batch
@@ -431,14 +435,16 @@ impl ExperimentRunner {
         let mut anchor_idx = anchors.partition_point(|&a| a < batch.time() + dt);
 
         let mut results: Vec<Option<RunResult>> = plans.iter().map(|_| None).collect();
-        // The leader leads the ctx list until it retires (forks push to
-        // the back, retirement keeps the order).
-        let leader_live = |ctxs: &[LaneCtx]| ctxs.first().is_some_and(|c| c.index == leader);
+        // `ctxs` is kept in batch slot order (`ctxs[s]` drives the lane
+        // in slot `s`): forks push to the back like `clone_lane`, and
+        // retirement swap-removes like `extract_lane`, so every per-step
+        // lookup is positional. The leader holds slot 0 until it retires:
+        // a swap-remove only moves the last lane into the freed slot.
+        let mut leader_live = true;
         let mut verdict = RunVerdict::Completed;
         let mut outbox: Vec<Message> = Vec::new();
-        // Reused per iteration: live lane ids in batch slot order, and
-        // the motor command for each (steady state allocates nothing).
-        let mut lane_order: Vec<u64> = Vec::new();
+        // Reused per iteration: the motor command for each lane in slot
+        // order (steady state allocates nothing).
         let mut commands: Vec<MotorCommands> = Vec::new();
 
         loop {
@@ -457,7 +463,7 @@ impl ExperimentRunner {
             // disagree on is scheduled at or after this loop-top, and a
             // failure scheduled at `t` first fires at the firmware step
             // at `t`.
-            while leader_live(&ctxs) && pending.first().is_some_and(|&(d, _)| time >= d) {
+            while leader_live && pending.first().is_some_and(|&(d, _)| time >= d) {
                 let (_, idx) = pending.remove(0);
                 let lane = batch.clone_lane(ctxs[0].lane);
                 let forked = {
@@ -514,7 +520,7 @@ impl ExperimentRunner {
             // the loop body exactly like the scalar runner: the snapshot
             // captures the leader's state before this step's exchange,
             // firmware step and physics step.
-            if checkpointing && leader_live(&ctxs) {
+            if checkpointing && leader_live {
                 let anchor_due = anchor_idx < anchors.len() && time + dt > anchors[anchor_idx];
                 if time >= next_checkpoint || anchor_due {
                     let leader_ctx = &mut ctxs[0];
@@ -526,7 +532,7 @@ impl ExperimentRunner {
                         tracker: leader_ctx.tracker.clone(),
                         workload: leader_ctx.workload.clone(),
                         samples: leader_ctx.samples.sealed_clone(),
-                        output: batch.output(leader_ctx.lane).clone(),
+                        output: batch.outputs()[0].clone(),
                         fence_violations: leader_ctx.fence_violations,
                         next_sample_time: leader_ctx.next_sample_time,
                         workload_status: leader_ctx.workload_status.clone(),
@@ -555,16 +561,18 @@ impl ExperimentRunner {
 
             // Ground-station exchange per lane; lanes whose post-terminal
             // grace elapsed retire before stepping, where the scalar loop
-            // breaks. `Vec::remove` keeps the leader at position 0.
-            let mut ci = 0;
-            while ci < ctxs.len() {
-                if ctxs[ci].exchange(&mut outbox, time, grace_period) {
-                    let ctx = ctxs.remove(ci);
+            // breaks. The swap-remove mirrors the batch's own, and the
+            // lane moved into `slot` is exchanged next.
+            let mut slot = 0;
+            while slot < ctxs.len() {
+                if ctxs[slot].exchange(&mut outbox, time, grace_period) {
+                    let ctx = ctxs.swap_remove(slot);
                     let idx = ctx.index;
+                    leader_live &= idx != leader;
                     results[idx] =
                         Some(ctx.retire(&mut batch, sample_interval, RunVerdict::Completed));
                 } else {
-                    ci += 1;
+                    slot += 1;
                 }
             }
             if ctxs.is_empty() {
@@ -574,22 +582,21 @@ impl ExperimentRunner {
             // Firmware control step per lane (in batch slot order, which
             // is what `step_lanes` expects), then one batched physics +
             // sensor step for every surviving lane.
-            lane_order.clear();
-            lane_order.extend_from_slice(batch.lane_ids());
+            debug_assert!(
+                ctxs.iter()
+                    .map(|c| c.lane)
+                    .eq(batch.lane_ids().iter().copied()),
+                "lane contexts out of batch slot order"
+            );
             commands.clear();
-            for &lane in &lane_order {
-                let ctx = ctxs
-                    .iter_mut()
-                    .find(|c| c.lane == lane)
-                    .expect("every live lane has a context");
-                commands.push(ctx.firmware.step(&batch.output(lane).readings, time, dt));
+            for (ctx, output) in ctxs.iter_mut().zip(batch.outputs()) {
+                commands.push(ctx.firmware.step(&output.readings, time, dt));
             }
             batch.step_lanes(&commands);
 
             // Trace bookkeeping against the loop-top time, like the
             // scalar loop.
-            for ctx in ctxs.iter_mut() {
-                let output = batch.output(ctx.lane);
+            for (ctx, output) in ctxs.iter_mut().zip(batch.outputs()) {
                 ctx.post_step(output, time, sample_interval);
             }
         }
@@ -807,6 +814,67 @@ mod tests {
             assert_eq!(batched, cold, "{pass} batch diverged from cold scalar");
         }
         assert!(runner.checkpoint_stats().forked_runs >= 1);
+    }
+
+    #[test]
+    fn wavefront_of_mixed_families_matches_cold_scalar() {
+        // A whole serial wavefront (16 plans) from several prefix
+        // families as one batch, under default noisy sensors on the
+        // current code base. The fault-free plan never diverges, so it
+        // leads and its duplicate rides as a virtual lane; single GPS,
+        // compass and baro failures fork from it across many checkpoint
+        // buckets (the earliest at 2 s); two two-failure plans share the
+        // GPS@30 parent; the last plan's only failure lies past the
+        // leader's retirement, so it never forks.
+        let mut cfg = quiet_config();
+        cfg.noise = None;
+        // One-second cuts, so the resuming pass finds a cut below the
+        // earliest fork.
+        cfg.checkpoints.interval = 1.0;
+        let compass = |t| sensor_plan(SensorKind::Compass, 1, t);
+        let baro = |t| sensor_plan(SensorKind::Barometer, 1, t);
+        let spec = |kind, t| FaultSpec::new(SensorInstance::new(kind, 0), t);
+        let mut link_plan = baro(25.0);
+        link_plan.add_link(LinkFaultSpec::new(
+            LinkFaultKind::Drop {
+                duration: 6.0,
+                probability: 0.8,
+            },
+            LinkDirection::ToVehicle,
+            42.0,
+        ));
+        let plans = vec![
+            gps_plan(2.0),
+            baro(3.5),
+            compass(7.5),
+            baro(12.0),
+            gps_plan(18.0),
+            link_plan,
+            compass(33.0),
+            compass(33.0),
+            gps_plan(30.0).with(spec(SensorKind::Compass, 45.0)),
+            gps_plan(30.0).with(spec(SensorKind::Barometer, 52.0)),
+            baro(47.0),
+            gps_plan(61.0),
+            compass(90.0),
+            FaultPlan::empty(),
+            FaultPlan::empty(),
+            gps_plan(cfg.max_duration + 10.0),
+        ];
+        let cold = scalar_reference(cfg.clone(), &plans);
+        let batched = cold_runner(cfg.clone()).run_batch_contained(plans.clone());
+        assert_eq!(batched, cold, "cold batch diverged from cold scalar");
+        // Checkpointed: the first pass records the leader's cuts, the
+        // second resumes its leader from the deepest one at or before
+        // the 2 s fork (the resume cap).
+        let mut runner = ExperimentRunner::new(cfg);
+        for pass in ["recording", "resuming"] {
+            let batched = runner.run_batch_contained(plans.clone());
+            assert_eq!(batched, cold, "{pass} batch diverged from cold scalar");
+        }
+        let stats = runner.checkpoint_stats();
+        assert!(stats.forked_runs >= 1, "{stats:?}");
+        assert!(stats.simulated_seconds_skipped <= 2.0, "{stats:?}");
     }
 
     #[test]

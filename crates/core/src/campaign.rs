@@ -376,14 +376,15 @@ impl CampaignBuilder {
         self
     }
 
-    /// Number of sibling scenarios a worker advances in lockstep through
-    /// one SoA [`avis_sim::LaneBatch`] when the dispatcher hands it a
-    /// prefix-sharded batch (see [`crate::batch`]); `1` disables
-    /// batching. Active wherever [`DispatchMode::PrefixSharded`] dispatch
-    /// is (the default), on workers and on the serial path alike. Purely
-    /// a speed knob — a batched run is bit-identical to a scalar one —
-    /// so it joins neither the experiment fingerprint nor any campaign
-    /// observable. Default: 4.
+    /// Lockstep batching through SoA [`avis_sim::LaneBatch`]es (see
+    /// [`crate::batch`]); `1` disables batching. Active wherever
+    /// [`DispatchMode::PrefixSharded`] dispatch is (the default). On the
+    /// worker pool, `lanes` is the number of sibling scenarios a worker
+    /// advances together from its prefix family. On the serial path,
+    /// `lanes > 1` sizes the speculative wavefront at `lanes × 4` plans,
+    /// and the wavefront is the batch. Purely a speed knob — a batched
+    /// run is bit-identical to a scalar one — so it joins neither the
+    /// experiment fingerprint nor any campaign observable. Default: 4.
     pub fn lockstep_lanes(mut self, lanes: usize) -> Self {
         self.lockstep_lanes = Some(lanes);
         self

@@ -46,7 +46,7 @@ use crate::checker::{Budget, CampaignState};
 use crate::contain;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult};
 use crate::snapshot::{injection_prefix, prefix_cache_key, CheckpointStats, SharedSnapshotTier};
-use crate::strategy::{Observation, Strategy};
+use crate::strategy::{Candidate, Observation, Strategy};
 use avis_hinj::FaultPlan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver};
@@ -190,6 +190,27 @@ fn take_or_run(
 /// A unit of speculative work: the candidate token the result must be
 /// committed under, plus the plan to execute.
 type Job = (u64, FaultPlan);
+
+/// Speculation admission for one wavefront, shared by the pool and the
+/// serial lockstep path: drops hints the strategy has withdrawn
+/// ([`Strategy::revalidate`]) and hints its pruning state rates as
+/// probably doomed ([`Strategy::prune_probability`]) — skipping a doomed
+/// job entirely beats merely shrinking the wavefront around it — and
+/// caps the rest at the remaining simulation budget.
+fn admit(
+    strategy: &dyn Strategy,
+    wavefront: &[Candidate],
+    budget: &Budget,
+    state: &CampaignState,
+) -> Vec<Job> {
+    wavefront
+        .iter()
+        .filter(|c| strategy.revalidate(c))
+        .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
+        .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
+        .take(remaining_simulations(budget, state))
+        .collect()
+}
 
 /// Dispatch-order key grouping plans that share an injection prefix:
 /// earliest failure time first, then failure count, then the canonical
@@ -678,19 +699,15 @@ fn run_rounds(
     let mut sizer = WavefrontSizer::new(params.parallelism.max(1));
     // Serial lockstep: with no pool, prefix-sharded dispatch and more
     // than one configured lane, the inline runner pre-executes each
-    // wavefront's admitted plans in lockstep batches — the serial
+    // wavefront's admitted plans as one lockstep batch — the serial
     // engine's version of speculative execution, identical in admission
     // and repair semantics to the pool path, and bit-identical in every
     // campaign observable (batched results equal scalar results, and a
-    // stale or missing one is re-run inline at commit).
+    // stale or missing one is re-run inline at commit). The lane count
+    // sizes the wavefront, and with it the batch.
     let serial_lanes = params.experiment.lockstep_lanes.max(1);
     let serial_batching =
         pool.is_none() && serial_lanes > 1 && params.dispatch == DispatchMode::PrefixSharded;
-    let family_bucket = if params.experiment.checkpoints.enabled {
-        params.experiment.checkpoints.interval
-    } else {
-        5.0
-    };
     // Degraded mode is announced at most once per campaign: the first
     // time any runner's checkpoint breaker trips (worker or inline).
     let mut degraded_announced = false;
@@ -708,7 +725,7 @@ fn run_rounds(
             let wavefront_size = match pool {
                 Some(_) => sizer.size(),
                 // Serial lockstep: bounded wavefronts, so a bug found at
-                // commit cancels the speculative batches of the *next*
+                // commit cancels the speculative batch of the *next*
                 // wavefront instead of the whole round's.
                 None if serial_batching => serial_lanes * BATCH_FACTOR,
                 // Serial scalar: no speculation, one "wavefront" per
@@ -748,64 +765,27 @@ fn run_rounds(
                             store.lock().flush(tier, params.experiment);
                         }
                     }
-                    let cap = remaining_simulations(params.budget, state);
-                    // Admission: drop hints the strategy has withdrawn
-                    // (`revalidate`) and hints its pruning state rates as
-                    // probably doomed (`prune_probability`) — skipping a
-                    // doomed job entirely beats merely shrinking the
-                    // wavefront around it.
-                    let jobs: Vec<Job> = wavefront
-                        .iter()
-                        .filter(|c| strategy.revalidate(c))
-                        .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
-                        .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
-                        .take(cap)
-                        .collect();
                     // The dispatcher groups the jobs into prefix families
                     // (or deals them round-robin) — either way the *set*
                     // of speculated plans is fixed here, after the budget
                     // cap.
-                    pool.execute(jobs)
+                    pool.execute(admit(strategy, wavefront, params.budget, state))
                 }
                 None if serial_batching && sizer.speculate() => {
-                    // Same admission filters as the pool path: withdrawn
-                    // or probably-doomed hints are skipped, speculation
-                    // past the remaining budget is capped.
-                    let cap = remaining_simulations(params.budget, state);
-                    let jobs: Vec<Job> = wavefront
-                        .iter()
-                        .filter(|c| strategy.revalidate(c))
-                        .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
-                        .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
-                        .take(cap)
-                        .collect();
-                    // Group into prefix families and chunk each into
-                    // lockstep batches, exactly how the sharded
-                    // dispatcher would lay the jobs onto a worker.
-                    let mut families: BTreeMap<String, Vec<Job>> = BTreeMap::new();
-                    for job in jobs {
-                        families
-                            .entry(family_key(&job.1, family_bucket))
-                            .or_default()
-                            .push(job);
-                    }
+                    // The whole admitted wavefront is one lockstep batch:
+                    // the batch's plan algebra forks plans of different
+                    // prefix families from the leader earlier, so every
+                    // live lane shares one sensor-noise draw per step. A
+                    // lone admitted plan gains nothing from lockstep; the
+                    // commit runs it inline as the serial engine always
+                    // has.
+                    let mut jobs = admit(strategy, wavefront, params.budget, state);
+                    jobs.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
                     let mut results = BTreeMap::new();
-                    for (_, mut batch) in families {
-                        batch.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                        for chunk in batch.chunks(serial_lanes) {
-                            // Singletons gain nothing from lockstep;
-                            // the commit runs them inline as the serial
-                            // engine always has.
-                            if chunk.len() < 2 {
-                                continue;
-                            }
-                            let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) =
-                                chunk.iter().cloned().unzip();
-                            let chunk_results = state.runner.run_batch_contained(plans);
-                            for (token, result) in tokens.into_iter().zip(chunk_results) {
-                                results.insert(token, result);
-                            }
-                        }
+                    if jobs.len() >= 2 {
+                        let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) = jobs.into_iter().unzip();
+                        let batched = state.runner.run_batch_contained(plans);
+                        results.extend(tokens.into_iter().zip(batched));
                     }
                     (results, false)
                 }

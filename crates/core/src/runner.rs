@@ -62,12 +62,14 @@ pub struct ExperimentConfig {
     /// Scenario watchdog budgets, so a non-terminating scenario cannot
     /// starve a worker forever (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
-    /// Number of sibling scenarios a worker advances in lockstep through
-    /// one SoA [`avis_sim::LaneBatch`] when the dispatcher hands it a
-    /// prefix-sharded batch (see [`crate::batch`]). `1` disables
-    /// batching. Purely a speed knob: a batched run is bit-identical to
-    /// a scalar one, so this is excluded from the experiment
-    /// fingerprint, exactly like checkpoint placement.
+    /// Lockstep batching through SoA [`avis_sim::LaneBatch`]es (see
+    /// [`crate::batch`]). `1` disables batching. On the worker pool, `n`
+    /// is the number of sibling scenarios a worker advances together
+    /// from its prefix-sharded family. On the serial path, `n > 1` sizes
+    /// the speculative wavefront at `n × 4` plans, and the whole admitted
+    /// wavefront is one batch. Purely a speed knob: a batched run is
+    /// bit-identical to a scalar one, so this is excluded from the
+    /// experiment fingerprint, exactly like checkpoint placement.
     pub lockstep_lanes: usize,
 }
 

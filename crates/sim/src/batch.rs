@@ -33,6 +33,10 @@
 //! [`LaneBatch::lane_snapshot`] is a checkpoint cut of one lane. Lane ids
 //! are stable across removals; slot order (and therefore
 //! [`LaneBatch::step_lanes`] command order) follows [`LaneBatch::lane_ids`].
+//! A fork appends a slot and an extraction swap-removes one (the last
+//! slot moves into the freed one), so a caller can keep its own per-lane
+//! state in slot order with `Vec::push` / `Vec::swap_remove` and read
+//! [`LaneBatch::outputs`] by position.
 
 use crate::environment::{Collision, Environment};
 use crate::math::{clamp, Quat, Vec3};
@@ -209,9 +213,12 @@ impl LaneBatch {
         &self.outputs[self.slot(id)]
     }
 
-    /// The first collision observed by the given lane, if any.
-    pub fn first_collision(&self, id: u64) -> Option<Collision> {
-        self.first_collision[self.slot(id)]
+    /// The most recent step output of every lane, in slot order (aligned
+    /// with [`LaneBatch::lane_ids`]): the per-step accessor for callers
+    /// that keep their per-lane state in slot order, so no lane is looked
+    /// up by id.
+    pub fn outputs(&self) -> &[StepOutput] {
+        &self.outputs
     }
 
     fn slot(&self, id: u64) -> usize {
