@@ -32,14 +32,10 @@
 //! `AVIS_BENCH_STORE` root (CI invokes the binary twice and the second
 //! invocation gates the cross-process ratio).
 //!
-//! Two further scenarios measure the PR-5 store and engine work: the
-//! **delta-density** sweep compares full snapshots (keyframe stride 1)
-//! against delta chains (stride 16) under one dense-anchor, tight-budget
-//! configuration — resident cuts and mean fork depth must come out ≥ 3×
-//! ahead for delta chains — and the **sharded-dispatch** scenario runs a
-//! four-family branch sweep at parallelism 4 under round-robin vs
-//! prefix-sharded placement, reporting each mode's local-cache hit share
-//! (per-worker stats via `WorkerStatsCollector`).
+//! The **delta-density** sweep compares full snapshots (keyframe
+//! stride 1) against delta chains (stride 16) under one dense-anchor,
+//! tight-budget configuration — resident cuts or mean fork depth must
+//! come out ≥ 3× ahead for delta chains.
 //!
 //! Finally, two PR-6 sections cover the protocol layer: a **codec
 //! microbench** (per-message encode/decode cost plus the `Link` burst
@@ -301,74 +297,6 @@ impl Strategy for WarmSweep {
     fn observe(&mut self, _observation: &Observation<'_>) {}
 }
 
-/// The branching sweep the sharded-dispatch scenario runs: four distinct
-/// *first* failures fork four prefix branches off the golden chain, and
-/// a late second failure is swept across each branch — 48 two-fault
-/// plans in four prefix families, proposed interleaved (consecutive
-/// candidates alternate branches, the way SABRE's queue mixes anchors).
-/// Under a cache budget that cannot hold every branch, placement decides
-/// whether a worker's local cache keeps *its* branches hot (sharded) or
-/// all four branches keep evicting each other on every worker
-/// (round-robin).
-struct BranchSweep {
-    plans: Vec<FaultPlan>,
-    proposed: bool,
-}
-
-impl BranchSweep {
-    fn new() -> Self {
-        BranchSweep {
-            plans: Vec::new(),
-            proposed: false,
-        }
-    }
-}
-
-impl Strategy for BranchSweep {
-    fn name(&self) -> &str {
-        "Branch sweep"
-    }
-
-    fn initialize(&mut self, ctx: &StrategyContext<'_>) {
-        let branch_time = ctx.golden.duration * 0.35;
-        let firsts = [
-            SensorInstance::new(SensorKind::Accelerometer, 0),
-            SensorInstance::new(SensorKind::Gps, 0),
-            SensorInstance::new(SensorKind::Barometer, 0),
-            SensorInstance::new(SensorKind::Compass, 0),
-        ];
-        let second = SensorInstance::new(SensorKind::Gps, 1);
-        let start = ctx.golden.duration * 0.6;
-        let end = ctx.golden.duration * 0.95;
-        for slot in [11usize, 3, 7, 0, 9, 5, 1, 10, 4, 8, 2, 6] {
-            let time = start + (end - start) * slot as f64 / 12.0;
-            for first in firsts {
-                self.plans.push(FaultPlan::from_specs(vec![
-                    FaultSpec::new(first, branch_time),
-                    FaultSpec::new(second, time),
-                ]));
-            }
-        }
-    }
-
-    fn propose(&mut self) -> Vec<Candidate> {
-        if std::mem::replace(&mut self.proposed, true) {
-            return Vec::new();
-        }
-        self.plans
-            .iter()
-            .enumerate()
-            .map(|(slot, plan)| Candidate::speculate(slot as u64, plan.clone()))
-            .collect()
-    }
-
-    fn decide(&mut self, candidate: &Candidate) -> Decision {
-        Decision::run(self.plans[candidate.token() as usize].clone())
-    }
-
-    fn observe(&mut self, _observation: &Observation<'_>) {}
-}
-
 /// Stamps the moment profiling/calibration ends, so the measurement
 /// covers only the scenario-search phase (profiling runs execute once
 /// and are never checkpointed — including them would dilute the
@@ -388,83 +316,18 @@ impl avis::campaign::CampaignObserver for SearchPhaseClock {
     }
 }
 
-/// Runs the late-injection sweep, returning the result and the wall time
-/// of the search phase alone.
+/// Runs the late-injection sweep at scalar lanes, returning the result
+/// and the wall time of the search phase alone. Scalar lanes isolate the
+/// checkpoint store (cold-vs-checkpointed ratio, fork depth), which
+/// lockstep batching would partly absorb — the batched path has its own
+/// scenario, `batched-lockstep`, including its checkpointed and combined
+/// variants.
 fn run_late_injection(
     simulations: usize,
     checkpoints: CheckpointConfig,
     parallelism: usize,
 ) -> (CampaignResult, f64) {
-    run_sweep_dispatched(
-        simulations,
-        checkpoints,
-        parallelism,
-        LateSweep::new(),
-        avis::DispatchMode::default(),
-        None,
-    )
-}
-
-/// [`run_branch_sweep_dispatched`] over the [`BranchSweep`] strategy.
-fn run_branch_sweep_dispatched(
-    simulations: usize,
-    checkpoints: CheckpointConfig,
-    parallelism: usize,
-    dispatch: avis::DispatchMode,
-    worker_stats: Option<std::sync::Arc<avis::WorkerStatsCollector>>,
-) -> (CampaignResult, f64) {
-    run_sweep_dispatched(
-        simulations,
-        checkpoints,
-        parallelism,
-        BranchSweep::new(),
-        dispatch,
-        worker_stats,
-    )
-}
-
-/// Runs a one-round sweep strategy with an explicit dispatch mode and an
-/// optional per-worker statistics collector (the sharded-dispatch
-/// scenario's instrumentation).
-fn run_sweep_dispatched(
-    simulations: usize,
-    checkpoints: CheckpointConfig,
-    parallelism: usize,
-    sweep: impl Strategy + 'static,
-    dispatch: avis::DispatchMode,
-    worker_stats: Option<std::sync::Arc<avis::WorkerStatsCollector>>,
-) -> (CampaignResult, f64) {
-    let mut builder = Campaign::builder()
-        .firmware(FirmwareProfile::ArduPilotLike)
-        .bugs(BugSet::none())
-        .workload(auto_box_mission())
-        .strategy(sweep)
-        .budget(Budget::simulations(simulations))
-        .parallelism(parallelism)
-        .max_duration(110.0)
-        .profiling_runs(LATE_SWEEP_PROFILING_RUNS)
-        .checkpoints(checkpoints)
-        // Scalar lanes: these scenarios isolate the checkpoint store
-        // (cold-vs-checkpointed ratio, fork depth, local-hit share),
-        // which lockstep batching would partly absorb — the batched
-        // path has its own scenario, `batched-lockstep`, including its
-        // checkpointed and combined variants.
-        .lockstep_lanes(1)
-        .dispatch(dispatch);
-    if let Some(collector) = worker_stats {
-        builder = builder.worker_stats(collector);
-    }
-    let campaign = builder.build();
-    let mut clock = SearchPhaseClock {
-        search_started: None,
-    };
-    let result = campaign.run_with_observer(&mut clock);
-    let search_seconds = clock
-        .search_started
-        .expect("campaign emitted ProfilingFinished")
-        .elapsed()
-        .as_secs_f64();
-    (result, search_seconds)
+    run_lockstep_sweep(simulations, &BugSet::none(), checkpoints, parallelism, 1)
 }
 
 /// Runs the late-injection sweep with an explicit lockstep lane count
@@ -1050,63 +913,6 @@ fn bench_delta_density() -> Json {
     ])
 }
 
-/// The sharded-dispatch scenario: the parallel-4 late-injection sweep
-/// under round-robin vs prefix-sharded placement, with per-worker cache
-/// statistics collected. Sharding pins each prefix family to one worker,
-/// so the local-cache share of served forks (vs shared-tier pulls) rises
-/// and the tier traffic shrinks; results are bit-identical either way.
-fn bench_sharded_dispatch(simulations: usize) -> Json {
-    use avis::{DispatchMode, WorkerStatsCollector};
-    use std::sync::Arc;
-    println!("scenario `sharded-dispatch`: parallel-4 branch sweep, round-robin vs prefix-sharded");
-    // Dispatch locality only differentiates across wavefront boundaries
-    // (the tier republishes between wavefronts); a budget that fits the
-    // whole sweep into one wavefront measures nothing, so this scenario
-    // runs the full 48-plan sweep even under the reduced CI smoke
-    // budget. The snapshot budget is deliberately too small for every
-    // branch: locality only matters when caches cannot hold everything.
-    let simulations = simulations.max(LATE_SWEEP_PROFILING_RUNS + 48);
-    const BRANCH_BUDGET_BYTES: usize = 256 * 1024;
-    let measure = |dispatch: DispatchMode| {
-        let collector = Arc::new(WorkerStatsCollector::new());
-        let (result, seconds) = run_branch_sweep_dispatched(
-            simulations,
-            CheckpointConfig::with_max_bytes(BRANCH_BUDGET_BYTES),
-            4,
-            dispatch,
-            Some(Arc::clone(&collector)),
-        );
-        let share = collector.local_hit_share().unwrap_or(0.0);
-        let depth = collector.mean_fork_depth().unwrap_or(0.0);
-        println!(
-            "  {dispatch:?}: {seconds:.2}s wall, local-cache hit share {:.0}%, mean fork depth {depth:.1}s",
-            share * 100.0
-        );
-        (result, seconds, share, depth)
-    };
-    let (rr_result, rr_seconds, rr_share, rr_depth) = measure(DispatchMode::RoundRobin);
-    let (sh_result, sh_seconds, sh_share, sh_depth) = measure(DispatchMode::PrefixSharded);
-    assert!(
-        rr_result == sh_result,
-        "dispatch mode changed a campaign observable"
-    );
-    println!(
-        "  prefix sharding raises the local share by {:+.0} points, results bit-identical",
-        (sh_share - rr_share) * 100.0
-    );
-    json::object(vec![
-        ("scenario", Json::String("sharded-dispatch".to_string())),
-        ("parallelism", Json::Number(4.0)),
-        ("round_robin_wall_seconds", Json::Number(rr_seconds)),
-        ("sharded_wall_seconds", Json::Number(sh_seconds)),
-        ("round_robin_local_hit_share", Json::Number(rr_share)),
-        ("sharded_local_hit_share", Json::Number(sh_share)),
-        ("round_robin_mean_fork_depth_s", Json::Number(rr_depth)),
-        ("sharded_mean_fork_depth_s", Json::Number(sh_depth)),
-        ("result_identical", Json::Bool(true)),
-    ])
-}
-
 /// The matrix-reuse scenario: two strategies over one firmware ×
 /// workload pair, run as a `ScenarioMatrix` whose cells share a snapshot
 /// tier. The second strategy's campaign warm-starts from the first one's
@@ -1491,7 +1297,6 @@ fn main() {
     let (warm_report, warm_speedup) = bench_warm_start();
     let (batched_report, batched_speedup) = bench_batched_lockstep(simulations);
     let delta_report = bench_delta_density();
-    let sharded_report = bench_sharded_dispatch(simulations);
     let matrix_report = bench_matrix_reuse(simulations);
     let record_report = bench_record_cost();
     let codec_report = bench_codec_cost();
@@ -1511,7 +1316,6 @@ fn main() {
         ("warm_start", warm_report),
         ("batched_lockstep", batched_report),
         ("delta_chain", delta_report),
-        ("sharded_dispatch", sharded_report),
         ("matrix_reuse", matrix_report),
         ("record_microbench", record_report),
         ("codec_microbench", codec_report),

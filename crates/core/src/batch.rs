@@ -3,12 +3,12 @@
 //! of running them back to back.
 //!
 //! Any plan set forms a batch (see [`crate::engine`] for who builds
-//! them). A pool worker batches chunks of one prefix family, which the
-//! prefix-sharded dispatcher routed to it. The serial engine batches a
-//! whole speculative wavefront, mixing families. Every scenario runs on
-//! the one experiment seed, so all plans execute identical state
-//! evolutions until their first divergent failure fires. Plans of other
-//! families simply diverge earlier. Batching exploits exactly that
+//! them). The engine sorts each speculative wavefront by injection
+//! prefix; a pool worker batches its contiguous slice of it, and the
+//! serial engine batches the whole wavefront. Every scenario runs on the
+//! one experiment seed, so all plans execute identical state evolutions
+//! until their first divergent failure fires. Plans with unrelated
+//! prefixes simply diverge earlier. Batching exploits exactly that
 //! window:
 //!
 //! - The **leader** — the plan whose first divergence from the batch's

@@ -27,9 +27,9 @@
 //! `parallelism = 1`, in the same order.
 
 use crate::checker::{
-    Approach, Budget, CampaignResult, CampaignState, Checker, CheckerConfig, UnsafeCondition,
+    Approach, Budget, CampaignResult, CampaignState, CheckerConfig, UnsafeCondition,
 };
-use crate::engine::{self, DispatchMode, EngineParams, WorkerStatsCollector};
+use crate::engine::{self, EngineParams, WorkerStatsCollector};
 use crate::monitor::{InvariantMonitor, MonitorConfig};
 use crate::runner::{ExperimentConfig, ExperimentRunner};
 use crate::sabre::SabreConfig;
@@ -201,7 +201,6 @@ pub struct Campaign {
     strategy: StrategyChoice,
     link: LinkFaultPlan,
     shared: Option<Arc<SharedSnapshotTier>>,
-    dispatch: DispatchMode,
     worker_stats: Option<Arc<WorkerStatsCollector>>,
     store: Option<StoreSpec>,
 }
@@ -241,7 +240,6 @@ impl Campaign {
                 seed: cfg.seed,
                 parallelism: cfg.parallelism,
                 shared: self.shared,
-                dispatch: self.dispatch,
                 worker_stats: self.worker_stats,
                 store: self.store,
             },
@@ -249,15 +247,6 @@ impl Campaign {
             approach,
             observer,
         )
-    }
-
-    /// The legacy [`Checker`] equivalent of this campaign, when it runs a
-    /// built-in approach (custom strategies have no legacy counterpart).
-    pub fn as_checker(&self) -> Option<Checker> {
-        match self.strategy {
-            StrategyChoice::Approach(_) => Some(Checker::from_config(self.config.clone())),
-            StrategyChoice::Custom(_) => None,
-        }
     }
 }
 
@@ -288,7 +277,6 @@ pub struct CampaignBuilder {
     strategy: StrategyChoice,
     link: LinkFaultPlan,
     shared: Option<Arc<SharedSnapshotTier>>,
-    dispatch: DispatchMode,
     worker_stats: Option<Arc<WorkerStatsCollector>>,
     store_path: Option<PathBuf>,
     store_budget: u64,
@@ -314,7 +302,6 @@ impl Default for CampaignBuilder {
             strategy: StrategyChoice::Approach(Approach::Avis),
             link: LinkFaultPlan::empty(),
             shared: None,
-            dispatch: DispatchMode::default(),
             worker_stats: None,
             store_path: None,
             store_budget: DEFAULT_STORE_BUDGET,
@@ -377,14 +364,14 @@ impl CampaignBuilder {
     }
 
     /// Lockstep batching through SoA [`avis_sim::LaneBatch`]es (see
-    /// [`crate::batch`]); `1` disables batching. Active wherever
-    /// [`DispatchMode::PrefixSharded`] dispatch is (the default). On the
-    /// worker pool, `lanes` is the number of sibling scenarios a worker
-    /// advances together from its prefix family. On the serial path,
-    /// `lanes > 1` sizes the speculative wavefront at `lanes × 4` plans,
-    /// and the wavefront is the batch. Purely a speed knob — a batched
-    /// run is bit-identical to a scalar one — so it joins neither the
-    /// experiment fingerprint nor any campaign observable. Default: 4.
+    /// [`crate::batch`]); `1` disables batching. With `lanes > 1`, every
+    /// slice of a speculative wavefront runs as one batch: on the worker
+    /// pool each worker gets one contiguous slice of the sorted
+    /// wavefront, and on the serial path, where `lanes` sizes the
+    /// wavefront at `lanes × 4` plans, the whole wavefront is the slice.
+    /// Purely a speed knob — a batched run is bit-identical to a scalar
+    /// one — so it joins neither the experiment fingerprint nor any
+    /// campaign observable. Default: 4.
     pub fn lockstep_lanes(mut self, lanes: usize) -> Self {
         self.lockstep_lanes = Some(lanes);
         self
@@ -474,15 +461,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// How speculative jobs are placed onto workers (see
-    /// [`DispatchMode`]). Placement is purely a cache-locality /
-    /// wall-clock knob: results are bit-identical in every mode. Default:
-    /// [`DispatchMode::PrefixSharded`].
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Attaches a [`WorkerStatsCollector`] that receives every engine
     /// worker's checkpoint statistics (plus the campaign's inline
     /// runner's) when the campaign finishes — the observability hook for
@@ -529,8 +507,8 @@ impl CampaignBuilder {
     pub fn build(self) -> Campaign {
         let approach = match &self.strategy {
             StrategyChoice::Approach(approach) => *approach,
-            // The legacy config field is only read when the campaign runs
-            // a built-in approach; default it for custom strategies.
+            // The config's `approach` only describes built-in
+            // campaigns; default it for custom strategies.
             StrategyChoice::Custom(_) => Approach::Avis,
         };
         let mut experiment = self.experiment.unwrap_or_else(|| {
@@ -567,7 +545,6 @@ impl CampaignBuilder {
             strategy: self.strategy,
             link: self.link,
             shared: self.shared,
-            dispatch: self.dispatch,
             worker_stats: self.worker_stats,
             store: self.store_path.map(|root| StoreSpec {
                 root,
@@ -586,9 +563,7 @@ pub(crate) struct StoreSpec {
     pub(crate) max_bytes: u64,
 }
 
-/// The resolved slice of configuration the campaign pipeline needs —
-/// shared by the fluent [`Campaign`] and the legacy [`Checker`] shim so
-/// both drive the byte-for-byte identical engine.
+/// The resolved slice of configuration the campaign pipeline needs.
 pub(crate) struct CampaignSpec<'a> {
     pub(crate) experiment: &'a ExperimentConfig,
     pub(crate) budget: Budget,
@@ -600,8 +575,6 @@ pub(crate) struct CampaignSpec<'a> {
     /// A caller-supplied cross-campaign snapshot tier, if any (see
     /// [`CampaignBuilder::shared_snapshots`]).
     pub(crate) shared: Option<Arc<SharedSnapshotTier>>,
-    /// Speculative-job placement policy (see [`DispatchMode`]).
-    pub(crate) dispatch: DispatchMode,
     /// Sink for per-runner checkpoint statistics, if any (see
     /// [`CampaignBuilder::worker_stats`]).
     pub(crate) worker_stats: Option<Arc<WorkerStatsCollector>>,
@@ -730,7 +703,6 @@ pub(crate) fn execute_campaign(
             budget: &spec.budget,
             parallelism: spec.parallelism,
             shared: tier.clone(),
-            dispatch: spec.dispatch,
             worker_stats: spec.worker_stats.clone(),
             store: store.clone(),
         },
@@ -809,7 +781,6 @@ mod tests {
         assert_eq!(config.profiling_runs, 3);
         assert_eq!(config.experiment.profile, FirmwareProfile::ArduPilotLike);
         assert_eq!(config.experiment.workload.name(), "auto-box-mission");
-        assert!(campaign.as_checker().is_some());
     }
 
     #[test]
@@ -830,13 +801,5 @@ mod tests {
         assert_eq!(config.experiment.max_duration, 90.0);
         assert_eq!(config.experiment.noise, Some(SensorNoise::noiseless()));
         assert_eq!(config.parallelism, 1, "parallelism is clamped to >= 1");
-    }
-
-    #[test]
-    fn custom_strategies_have_no_legacy_checker() {
-        let campaign = Campaign::builder()
-            .strategy(crate::strategy::RoundRobinMode::new())
-            .build();
-        assert!(campaign.as_checker().is_none());
     }
 }

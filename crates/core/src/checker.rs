@@ -1,6 +1,5 @@
 //! Campaign configuration and results: budgets, the [`Approach`] factory
-//! for the paper's four built-in strategies, unsafe-condition records and
-//! the legacy [`Checker`] compatibility shim.
+//! for the paper's four built-in strategies and unsafe-condition records.
 //!
 //! A *campaign* corresponds to one row-cell of the paper's Table III: one
 //! strategy, one firmware, one workload, a fixed budget. The paper budgets
@@ -9,12 +8,9 @@
 //! labelling latency, which preserves the relative comparison while being
 //! independent of host speed.
 //!
-//! New code should configure campaigns through
-//! [`crate::campaign::Campaign::builder`]; the [`CheckerConfig`] /
-//! [`Checker`] pair remains as a deprecated shim over the same engine
-//! (see `MIGRATION.md` at the repository root).
+//! Campaigns are configured and run through
+//! [`crate::campaign::Campaign::builder`].
 
-use crate::engine;
 use crate::monitor::{MonitorConfig, Violation};
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict};
 use crate::sabre::SabreConfig;
@@ -61,8 +57,7 @@ impl Approach {
     }
 
     /// Builds the [`Strategy`] implementing this approach — the factory
-    /// the fluent [`crate::campaign::CampaignBuilder`] and the legacy
-    /// [`Checker`] shim both construct campaigns through.
+    /// [`crate::campaign::CampaignBuilder`] constructs campaigns through.
     pub fn strategy(self) -> Box<dyn Strategy> {
         match self {
             Approach::Avis => Box::new(SabreStrategy::avis()),
@@ -168,11 +163,8 @@ impl Budget {
     }
 }
 
-/// Configuration for one campaign (legacy shape).
-///
-/// New code should use [`crate::campaign::Campaign::builder`], which
-/// produces the same configuration through a fluent API and also carries
-/// custom strategies and observers.
+/// Configuration for one campaign, as resolved by
+/// [`crate::campaign::CampaignBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct CheckerConfig {
     /// Which approach to run.
@@ -194,36 +186,6 @@ pub struct CheckerConfig {
     /// the worker pool ([`crate::engine`]) while producing a bit-identical
     /// [`CampaignResult`]. Defaults to the number of available CPU cores.
     pub parallelism: usize,
-}
-
-impl CheckerConfig {
-    /// A configuration with sensible defaults.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `avis::campaign::Campaign::builder()` — see MIGRATION.md"
-    )]
-    pub fn new(approach: Approach, experiment: ExperimentConfig, budget: Budget) -> Self {
-        CheckerConfig {
-            approach,
-            experiment,
-            budget,
-            profiling_runs: 3,
-            monitor: MonitorConfig::default(),
-            sabre: SabreConfig::default(),
-            seed: 17,
-            parallelism: engine::default_parallelism(),
-        }
-    }
-
-    /// Sets the worker count (`1` = serial) and returns the configuration.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Campaign::builder().parallelism(n)` — see MIGRATION.md"
-    )]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
 }
 
 /// One unsafe condition discovered by a campaign.
@@ -341,16 +303,6 @@ impl CampaignResult {
     }
 }
 
-/// The legacy campaign entry point: runs one [`CheckerConfig`].
-///
-/// Kept as a compatibility shim over the strategy engine; new code should
-/// use [`crate::campaign::Campaign::builder`], which adds custom
-/// strategies and streaming observers.
-#[derive(Debug, Clone)]
-pub struct Checker {
-    config: CheckerConfig,
-}
-
 pub(crate) struct CampaignState {
     pub(crate) runner: ExperimentRunner,
     pub(crate) monitor: crate::monitor::InvariantMonitor,
@@ -423,51 +375,6 @@ impl CampaignState {
             cost_seconds_used: self.cost_seconds,
         });
         true
-    }
-}
-
-impl Checker {
-    /// Creates a checker for the given configuration.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `avis::campaign::Campaign::builder()` — see MIGRATION.md"
-    )]
-    pub fn new(config: CheckerConfig) -> Self {
-        Checker { config }
-    }
-
-    pub(crate) fn from_config(config: CheckerConfig) -> Self {
-        Checker { config }
-    }
-
-    /// The checker configuration.
-    pub fn config(&self) -> &CheckerConfig {
-        &self.config
-    }
-
-    /// Runs the campaign to completion (budget exhaustion or fault-space
-    /// exhaustion) and returns the result.
-    pub fn run(&self) -> CampaignResult {
-        let cfg = &self.config;
-        let mut strategy = cfg.approach.strategy();
-        crate::campaign::execute_campaign(
-            crate::campaign::CampaignSpec {
-                experiment: &cfg.experiment,
-                budget: cfg.budget,
-                profiling_runs: cfg.profiling_runs,
-                monitor: &cfg.monitor,
-                sabre: cfg.sabre,
-                seed: cfg.seed,
-                parallelism: cfg.parallelism,
-                shared: None,
-                dispatch: crate::engine::DispatchMode::default(),
-                worker_stats: None,
-                store: None,
-            },
-            strategy.as_mut(),
-            Some(cfg.approach),
-            &mut crate::campaign::NullObserver,
-        )
     }
 }
 
@@ -585,29 +492,5 @@ mod tests {
             "no false positives on the fixed code base: {:?}",
             result.unsafe_conditions
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_checker_shim_matches_the_builder() {
-        // The compatibility shim and the fluent builder must drive the
-        // identical engine — this is the contract MIGRATION.md documents.
-        let bugs = BugSet::current_code_base(FirmwareProfile::ArduPilotLike);
-        let mut config = CheckerConfig::new(
-            Approach::Avis,
-            small_experiment(bugs.clone()),
-            Budget::simulations(8),
-        );
-        config.profiling_runs = 2;
-        config.parallelism = 2;
-        let legacy = Checker::new(config).run();
-        let fluent = Campaign::builder()
-            .experiment(small_experiment(bugs))
-            .budget(Budget::simulations(8))
-            .profiling_runs(2)
-            .parallelism(2)
-            .build()
-            .run();
-        assert_eq!(legacy, fluent);
     }
 }

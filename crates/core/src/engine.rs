@@ -20,13 +20,16 @@
 //!    candidate sets, a fixed batch of BFI sites) and never depend on the
 //!    worker count — see the determinism contract in [`crate::strategy`].
 //! 2. **Speculative execution.** Candidates carrying a speculative plan
-//!    are executed concurrently on the worker pool (skipped entirely in
-//!    the serial case), in *wavefronts* of a small multiple of the pool
-//!    size ([`BATCH_FACTOR`]) so that a bug committed mid-round cancels
-//!    its now-pruned siblings ([`Strategy::revalidate`]) instead of
-//!    wasting workers on them. Speculation past the remaining simulation
-//!    budget is capped; wrong or missing speculation is repaired at
-//!    commit by executing inline.
+//!    are executed ahead of the commit in *wavefronts* of a small
+//!    multiple of the pool size ([`BATCH_FACTOR`]), so that a bug
+//!    committed mid-round cancels its now-pruned siblings
+//!    ([`Strategy::revalidate`]) instead of wasting runs on them. Each
+//!    admitted wavefront is sorted by injection prefix and cut into one
+//!    contiguous slice per worker; a slice runs as one lockstep batch
+//!    ([`crate::batch`]). The serial engine runs the whole wavefront as
+//!    one slice on its inline runner. Speculation past the remaining
+//!    simulation budget is capped; wrong or missing speculation is
+//!    repaired at commit by executing inline.
 //! 3. **Sequential commit.** For every candidate, in round order, the
 //!    engine applies the authoritative control flow: budget check,
 //!    [`Strategy::decide`] (label charges, pruning), post-charge budget
@@ -45,40 +48,18 @@ use crate::campaign::{CampaignEvent, CampaignObserver};
 use crate::checker::{Budget, CampaignState};
 use crate::contain;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult};
-use crate::snapshot::{injection_prefix, prefix_cache_key, CheckpointStats, SharedSnapshotTier};
+use crate::snapshot::{CheckpointStats, SharedSnapshotTier};
 use crate::strategy::{Candidate, Observation, Strategy};
 use avis_hinj::FaultPlan;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
 /// The default worker count: the number of available CPU cores.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// How the engine places a wavefront's speculative jobs onto workers.
-/// Placement only decides which worker *pre-executes* a run — results are
-/// committed strictly in round order — so the mode can never change a
-/// campaign observable, only cache locality and wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Jobs are dealt one at a time across the workers in wavefront
-    /// order, with idle workers stealing — placement ignores which worker
-    /// already holds a job's ancestor snapshots (the pre-sharding
-    /// behaviour, kept as the locality baseline).
-    RoundRobin,
-    /// Jobs are grouped into *prefix families* — plans that share an
-    /// injection prefix and fork near the same depth — and each family is
-    /// pinned to one worker across the whole campaign, so consecutive
-    /// siblings fork from that worker's hottest local checkpoint chain
-    /// instead of re-pulling ancestors through the shared tier. Idle
-    /// workers steal whole families (never single jobs), preserving
-    /// within-family locality.
-    #[default]
-    PrefixSharded,
 }
 
 /// Collects each engine worker's [`CheckpointStats`] when a campaign
@@ -103,26 +84,6 @@ impl WorkerStatsCollector {
         self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Of all forks served across the collected runners, the share served
-    /// by a runner's *local* cache rather than the shared tier — the
-    /// locality figure prefix-sharded dispatch raises. `None` when no
-    /// forks were served.
-    pub fn local_hit_share(&self) -> Option<f64> {
-        let stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        let forked: u64 = stats.iter().map(|s| s.forked_runs).sum();
-        let shared: u64 = stats.iter().map(|s| s.shared_hits).sum();
-        (forked > 0).then(|| (forked - shared) as f64 / forked as f64)
-    }
-
-    /// Mean fork depth (simulated seconds skipped per forked run) across
-    /// the collected runners. `None` when no forks were served.
-    pub fn mean_fork_depth(&self) -> Option<f64> {
-        let stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        let forked: u64 = stats.iter().map(|s| s.forked_runs).sum();
-        let skipped: f64 = stats.iter().map(|s| s.simulated_seconds_skipped).sum();
-        (forked > 0).then(|| skipped / forked as f64)
-    }
-
     pub(crate) fn push(&self, stats: CheckpointStats) {
         self.stats
             .lock()
@@ -143,8 +104,6 @@ pub(crate) struct EngineParams<'a> {
     /// runner and republished by the engine between speculative
     /// wavefronts so one worker's cold run warms every worker's cache.
     pub shared: Option<Arc<SharedSnapshotTier>>,
-    /// Speculative-job placement policy (see [`DispatchMode`]).
-    pub dispatch: DispatchMode,
     /// Sink for per-worker checkpoint statistics, filled at pool
     /// shutdown.
     pub worker_stats: Option<Arc<WorkerStatsCollector>>,
@@ -195,31 +154,34 @@ type Job = (u64, FaultPlan);
 /// serial lockstep path: drops hints the strategy has withdrawn
 /// ([`Strategy::revalidate`]) and hints its pruning state rates as
 /// probably doomed ([`Strategy::prune_probability`]) — skipping a doomed
-/// job entirely beats merely shrinking the wavefront around it — and
-/// caps the rest at the remaining simulation budget.
+/// job entirely beats merely shrinking the wavefront around it — caps
+/// the rest at the remaining simulation budget, and returns the jobs
+/// sorted by [`prefix_dispatch_key`].
 fn admit(
     strategy: &dyn Strategy,
     wavefront: &[Candidate],
     budget: &Budget,
     state: &CampaignState,
 ) -> Vec<Job> {
-    wavefront
+    let mut jobs: Vec<Job> = wavefront
         .iter()
         .filter(|c| strategy.revalidate(c))
         .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
         .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
         .take(remaining_simulations(budget, state))
-        .collect()
+        .collect();
+    jobs.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
+    jobs
 }
 
-/// Dispatch-order key grouping plans that share an injection prefix:
+/// Execution-order key grouping plans that share an injection prefix:
 /// earliest failure time first, then failure count, then the canonical
-/// plan key. Sorting a family's speculative jobs this way hands
-/// prefix-sharing siblings to a worker back-to-back, so its per-runner
-/// snapshot cache ([`crate::snapshot`]) forks consecutive jobs off its
-/// hottest checkpoint chain instead of interleaving unrelated prefixes.
-/// Results are keyed by candidate token and committed strictly in round
-/// order, so dispatch order can never change a campaign observable.
+/// plan key. In this order prefix-sharing siblings sit side by side, so
+/// a slice of the sorted wavefront keeps them on one runner, where the
+/// lockstep batch and the per-runner snapshot cache ([`crate::snapshot`])
+/// reuse their shared prefix. Results are keyed by candidate token and
+/// committed strictly in round order, so execution order can never
+/// change a campaign observable.
 fn prefix_dispatch_key(plan: &FaultPlan) -> (i64, usize, String) {
     let earliest = plan
         .specs()
@@ -231,38 +193,6 @@ fn prefix_dispatch_key(plan: &FaultPlan) -> (i64, usize, String) {
     (earliest, plan.len(), plan.canonical_key())
 }
 
-/// The *prefix family* of a plan: the injection prefix shared with its
-/// siblings (every failure except the deepest one). Two plans of one
-/// family fork from the same chain, so pinning a family to one worker
-/// turns that worker's local cache into the family's private checkpoint
-/// tree — under memory pressure, workers cycling through each other's
-/// families evict each other's chains instead.
-///
-/// Single-failure plans all share the *empty* parent prefix; one family
-/// would starve the pool, so the empty prefix is split by the checkpoint
-/// bucket the failure falls in (plans forking at nearby depths reuse the
-/// same stretch of the fault-free chain). The bucket width is the
-/// checkpoint interval — the resolution at which forks actually differ.
-fn family_key(plan: &FaultPlan, bucket_seconds: f64) -> String {
-    let Some(deepest) = plan
-        .specs()
-        .map(|s| s.time)
-        .chain(plan.link_plan().fault_times())
-        .fold(None, |acc: Option<f64>, t| {
-            Some(acc.map_or(t, |a| a.max(t)))
-        })
-    else {
-        return String::new();
-    };
-    let parent = injection_prefix(plan, deepest);
-    if parent.is_empty() {
-        let bucket = (deepest / bucket_seconds.max(1e-3)).floor() as i64;
-        format!("#{bucket}")
-    } else {
-        prefix_cache_key(&parent)
-    }
-}
-
 /// What a worker sends back: a completed run (with the worker runner's
 /// checkpoint-breaker flag riding along, so the engine can announce
 /// degraded mode), or the rendered panic of a worker that died *outside*
@@ -271,169 +201,65 @@ fn family_key(plan: &FaultPlan, bucket_seconds: f64) -> String {
 /// the lost jobs instead of deadlocking the wavefront.
 type WorkerOutcome = Result<(u64, RunResult, bool), String>;
 
-/// The worker-visible placement state: one family-batch deque per
-/// worker, plus the sticky family→worker map and per-worker load
-/// counters the placement policy balances with.
-#[derive(Debug, Default)]
-struct ShardState {
-    shards: Vec<VecDeque<Vec<Job>>>,
-    /// Sticky assignment: a family keeps hitting the same worker across
-    /// wavefronts (and rounds), which is what builds the worker's local
-    /// chain depth for that family.
-    family_worker: BTreeMap<String, usize>,
-    /// Total jobs ever placed per worker — the balance criterion for
-    /// first-seen families.
-    placed: Vec<u64>,
-    shutdown: bool,
-}
-
-/// The sharded job queue shared by the engine and its workers. Workers
-/// drain their own shard front-to-back and steal whole *families* from
-/// the richest other shard when idle, so stolen work keeps its internal
-/// prefix locality.
-#[derive(Debug)]
-struct Dispatcher {
-    state: Mutex<ShardState>,
-    ready: Condvar,
-}
-
-impl Dispatcher {
-    fn new(workers: usize) -> Self {
-        Dispatcher {
-            state: Mutex::new(ShardState {
-                shards: (0..workers).map(|_| VecDeque::new()).collect(),
-                family_worker: BTreeMap::new(),
-                placed: vec![0; workers],
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// The next batch for worker `me`: own shard first, then a steal
-    /// from the back (coldest family) of the fullest other shard, else
-    /// block until work arrives or the pool shuts down.
-    fn next_batch(&self, me: usize) -> Option<Vec<Job>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(batch) = state.shards[me].pop_front() {
-                return Some(batch);
-            }
-            let richest = (0..state.shards.len())
-                .filter(|&j| j != me && !state.shards[j].is_empty())
-                .max_by_key(|&j| state.shards[j].len());
-            if let Some(victim) = richest {
-                return state.shards[victim].pop_back();
-            }
-            if state.shutdown {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Wakes every worker and lets them drain out. Idempotent; also runs
-    /// on unwind (see the guard in [`run_campaign`]) so a panicking
-    /// wavefront can never leave workers parked on the condvar.
-    fn shutdown(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .shutdown = true;
-        self.ready.notify_all();
+/// Runs one slice of a sorted wavefront on `runner`: one lockstep batch
+/// when the slice holds at least two plans and lockstep is enabled,
+/// scalar contained runs otherwise. The serial path and every pool
+/// worker execute speculation through this one function. Sorted input
+/// puts prefix-sharing siblings side by side, so the batch's plan
+/// algebra (see [`crate::batch`]) advances their shared prefix once.
+fn run_slice(runner: &mut ExperimentRunner, jobs: Vec<Job>) -> Vec<(u64, RunResult)> {
+    if jobs.len() >= 2 && runner.config().lockstep_lanes > 1 {
+        let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) = jobs.into_iter().unzip();
+        tokens
+            .into_iter()
+            .zip(runner.run_batch_contained(plans))
+            .collect()
+    } else {
+        jobs.into_iter()
+            .map(|(token, plan)| (token, runner.run_contained(plan)))
+            .collect()
     }
 }
 
-/// Unparks the worker pool on drop, so a panic unwinding through
-/// [`run_rounds`] still releases the scope's joins.
-struct ShutdownGuard(Arc<Dispatcher>);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Hands wavefronts of fault plans to the worker pool and collects the
-/// results keyed by candidate token.
-struct Wavefront {
-    dispatcher: Arc<Dispatcher>,
+/// The worker pool as the round loop sees it: one job channel per
+/// worker and the shared result channel. Dropping the pool closes the
+/// job channels, which is how the workers learn to exit — on the normal
+/// return path and on unwind alike, so the scope's joins never hang.
+struct Pool {
+    job_txs: Vec<Sender<Vec<Job>>>,
     result_rx: Receiver<WorkerOutcome>,
-    mode: DispatchMode,
-    /// Family bucket width (s): the experiment's checkpoint interval.
-    family_bucket: f64,
 }
 
-impl Wavefront {
-    /// Places one wavefront of plans onto the worker shards and blocks
-    /// until every result is in, returning the results plus whether any
-    /// worker's checkpoint breaker has tripped (degraded mode).
+impl Pool {
+    /// Cuts one sorted wavefront into at most one contiguous slice per
+    /// worker and blocks until every result is in, returning the results
+    /// plus whether any worker's checkpoint breaker has tripped
+    /// (degraded mode).
     ///
     /// Scenario crashes never surface here — they come back as ordinary
     /// results carrying [`crate::runner::RunVerdict::Crashed`]. A worker
     /// that dies *outside* the per-run containment (a harness fault)
     /// sends one final `Err`; the collector then stops waiting — its
-    /// in-flight batch is unrecoverable, and results from still-healthy
+    /// in-flight slice is unrecoverable, and results from still-healthy
     /// workers keep arriving into later collections, where stale tokens
-    /// are ignored by the commit's plan-equality check. Every job whose
-    /// speculative result is missing is re-executed inline at commit
-    /// (see [`take_or_run`]), so no proposed job is ever leaked.
+    /// are ignored by the commit's plan-equality check. In later
+    /// wavefronts the dead worker's job channel is closed, so its slice
+    /// is not expected at all. Every job whose speculative result is
+    /// missing is re-executed inline at commit (see [`take_or_run`]), so
+    /// no proposed job is ever leaked.
     fn execute(&self, jobs: Vec<Job>) -> (BTreeMap<u64, RunResult>, bool) {
-        let expected = jobs.len();
-        {
-            let mut state = self
-                .dispatcher
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let workers = state.shards.len();
-            match self.mode {
-                DispatchMode::RoundRobin => {
-                    // The pre-sharding baseline kept: the wavefront is
-                    // sorted by shared injection prefix (as the old
-                    // shared-queue engine sorted it) before the jobs are
-                    // dealt out, so prefix-sharing siblings still land
-                    // temporally close — only the family pinning is off.
-                    let mut jobs = jobs;
-                    jobs.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                    for (index, job) in jobs.into_iter().enumerate() {
-                        state.shards[index % workers].push_back(vec![job]);
-                    }
-                }
-                DispatchMode::PrefixSharded => {
-                    // Group into prefix families; iteration over the
-                    // BTreeMap keeps placement deterministic for a given
-                    // wavefront composition.
-                    let mut families: BTreeMap<String, Vec<Job>> = BTreeMap::new();
-                    for job in jobs {
-                        families
-                            .entry(family_key(&job.1, self.family_bucket))
-                            .or_default()
-                            .push(job);
-                    }
-                    for (family, mut batch) in families {
-                        batch.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                        let worker = match state.family_worker.get(&family) {
-                            Some(&worker) => worker,
-                            None => {
-                                // First sighting: pin the family to the
-                                // least-loaded worker (ties to the lowest
-                                // index).
-                                let worker = (0..workers)
-                                    .min_by_key(|&w| (state.placed[w], w))
-                                    // avis-lint: allow(p1, reason = "pool construction clamps workers >= 1, so the range is never empty")
-                                    .expect("pool has workers");
-                                state.family_worker.insert(family, worker);
-                                worker
-                            }
-                        };
-                        state.placed[worker] += batch.len() as u64;
-                        state.shards[worker].push_back(batch);
-                    }
-                }
+        let mut expected = jobs.len();
+        let slice_len = jobs.len().div_ceil(self.job_txs.len());
+        let mut jobs = jobs.into_iter();
+        for tx in &self.job_txs {
+            let slice: Vec<Job> = jobs.by_ref().take(slice_len).collect();
+            if slice.is_empty() {
+                break;
+            }
+            if let Err(unsent) = tx.send(slice) {
+                expected -= unsent.0.len();
             }
         }
-        self.dispatcher.ready.notify_all();
         let mut results = BTreeMap::new();
         let mut degraded = false;
         while results.len() < expected {
@@ -449,14 +275,13 @@ impl Wavefront {
                     results.insert(token, result);
                 }
                 Err(harness_panic) => {
-                    // A worker died outside the per-run containment. Its
-                    // in-flight batch is gone and its queued families
-                    // will be stolen by surviving workers — but waiting
-                    // for the lost batch would hang forever, so stop
-                    // here and let the inline fallback account for every
-                    // undelivered job. The message carries the scenario
-                    // fingerprint (see `run_campaign`), so the surviving
-                    // log identifies which scenario took the worker down.
+                    // A worker died outside the per-run containment.
+                    // Waiting for its lost slice would hang forever, so
+                    // stop here and let the inline fallback account for
+                    // every undelivered job. The message carries the
+                    // scenario fingerprint (see `run_campaign`), so the
+                    // surviving log identifies which scenario took the
+                    // worker down.
                     eprintln!("avis: campaign worker died: {harness_panic}");
                     break;
                 }
@@ -482,15 +307,15 @@ pub(crate) fn run_campaign(
         return;
     }
     std::thread::scope(|scope| {
-        let dispatcher = Arc::new(Dispatcher::new(workers));
         let (result_tx, result_rx) = channel::<WorkerOutcome>();
+        let mut job_txs = Vec::with_capacity(workers);
         for me in 0..workers {
-            let dispatcher = Arc::clone(&dispatcher);
+            let (job_tx, job_rx) = channel::<Vec<Job>>();
+            job_txs.push(job_tx);
             let result_tx = result_tx.clone();
             let experiment = params.experiment.clone();
             let shared = params.shared.clone();
             let collector = params.worker_stats.clone();
-            let dispatch = params.dispatch;
             scope.spawn(move || {
                 // One fresh runner per worker, kept alive across jobs on
                 // purpose: each runner owns a snapshot cache
@@ -498,67 +323,38 @@ pub(crate) fn run_campaign(
                 // shares the campaign-wide tier with its siblings.
                 // Cache state affects only run *timing* — a forked run is
                 // bit-identical to a cold one — so results stay pure
-                // functions of their plan. Prefix-sharded dispatch keeps
-                // handing one family to the same worker precisely so this
-                // cache accumulates that family's chain.
+                // functions of their plan.
                 let mut runner = ExperimentRunner::new(experiment);
                 if let Some(tier) = shared {
                     runner.set_shared_tier(tier);
                 }
                 let seed = runner.config().seed;
-                // The plan currently executing, tracked so a panic that
+                // The plans currently executing, tracked so a panic that
                 // escapes the per-run containment still renders with the
-                // scenario fingerprint (seed + canonical plan key).
+                // scenario fingerprint (seed + canonical plan keys).
                 let in_flight = std::cell::RefCell::new(String::new());
-                // Scenario crashes are contained *inside* `run_contained`
+                // Scenario crashes are contained *inside* `run_slice`
                 // and come back as `RunVerdict::Crashed` results. This
                 // outer boundary is belt-and-braces for harness faults
-                // (dispatcher, channel, stats code): the worker sends one
-                // final `Err` instead of silently dying with the result
+                // (channel, stats code): the worker sends one final
+                // `Err` instead of silently dying with the result
                 // channel open, which would hang the wavefront collector.
+                // The closure owns `job_rx`, so a panic drops (closes)
+                // the receiver before that `Err` is sent: by the time
+                // the collector gives up on this worker, later
+                // wavefronts already see its channel closed.
                 let body = contain::catch(|| {
-                    // Batched lockstep: under prefix-sharded dispatch a
-                    // worker's batch is one *family* of prefix-sharing
-                    // siblings sorted by dispatch key, so consecutive
-                    // chunks are exactly the plans whose shared prefix a
-                    // `LaneBatch` advances once instead of N times (see
-                    // `crate::batch`). Round-robin deals single-job
-                    // batches with no prefix affinity, so batching is
-                    // only engaged where the dispatcher actually forms
-                    // families. Bit-identical either way — lockstep,
-                    // like checkpointing, is purely a speed knob.
-                    let lanes = runner.config().lockstep_lanes.max(1);
-                    let chunk_len = if dispatch == DispatchMode::PrefixSharded {
-                        lanes
-                    } else {
-                        1
-                    };
-                    'drain: while let Some(batch) = dispatcher.next_batch(me) {
-                        for chunk in batch.chunks(chunk_len) {
-                            if chunk.len() >= 2 {
-                                let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) =
-                                    chunk.iter().cloned().unzip();
-                                *in_flight.borrow_mut() = plans
-                                    .iter()
-                                    .map(|p| p.canonical_key())
-                                    .collect::<Vec<_>>()
-                                    .join(" | ");
-                                let results = runner.run_batch_contained(plans);
-                                let degraded = runner.checkpointing_degraded();
-                                for (token, result) in tokens.into_iter().zip(results) {
-                                    if result_tx.send(Ok((token, result, degraded))).is_err() {
-                                        break 'drain;
-                                    }
-                                }
-                            } else {
-                                for (token, plan) in chunk.iter().cloned() {
-                                    *in_flight.borrow_mut() = plan.canonical_key();
-                                    let result = runner.run_contained(plan);
-                                    let degraded = runner.checkpointing_degraded();
-                                    if result_tx.send(Ok((token, result, degraded))).is_err() {
-                                        break 'drain;
-                                    }
-                                }
+                    for slice in job_rx {
+                        *in_flight.borrow_mut() = slice
+                            .iter()
+                            .map(|(_, plan)| plan.canonical_key())
+                            .collect::<Vec<_>>()
+                            .join(" | ");
+                        let results = run_slice(&mut runner, slice);
+                        let degraded = runner.checkpointing_degraded();
+                        for (token, result) in results {
+                            if result_tx.send(Ok((token, result, degraded))).is_err() {
+                                return;
                             }
                         }
                     }
@@ -576,23 +372,11 @@ pub(crate) fn run_campaign(
             });
         }
         drop(result_tx);
-        // Unparks the workers even when a wavefront panics mid-collect,
-        // so the scope's implicit joins can never deadlock.
-        let _guard = ShutdownGuard(Arc::clone(&dispatcher));
-        let pool = Wavefront {
-            dispatcher: Arc::clone(&dispatcher),
-            result_rx,
-            mode: params.dispatch,
-            family_bucket: if params.experiment.checkpoints.enabled {
-                params.experiment.checkpoints.interval
-            } else {
-                5.0
-            },
-        };
+        let pool = Pool { job_txs, result_rx };
         run_rounds(&params, strategy, state, observer, Some(&pool));
-        // The guard (and the normal return path) wake the workers; they
-        // drain any leftover speculative batches and exit, and the scope
-        // joins them.
+        // Dropping `pool` here (or while unwinding) closes the job
+        // channels; the workers finish their slice, report their stats
+        // and exit, and the scope joins them.
     })
 }
 
@@ -694,23 +478,32 @@ fn run_rounds(
     strategy: &mut dyn Strategy,
     state: &mut CampaignState,
     observer: &mut dyn CampaignObserver,
-    pool: Option<&Wavefront>,
+    pool: Option<&Pool>,
 ) {
     let mut sizer = WavefrontSizer::new(params.parallelism.max(1));
-    // Serial lockstep: with no pool, prefix-sharded dispatch and more
-    // than one configured lane, the inline runner pre-executes each
-    // wavefront's admitted plans as one lockstep batch — the serial
-    // engine's version of speculative execution, identical in admission
-    // and repair semantics to the pool path, and bit-identical in every
-    // campaign observable (batched results equal scalar results, and a
-    // stale or missing one is re-run inline at commit). The lane count
-    // sizes the wavefront, and with it the batch.
+    // Serial lockstep: with no pool and more than one configured lane,
+    // the inline runner pre-executes each wavefront's admitted plans as
+    // one slice — the serial engine's version of speculative execution,
+    // identical in admission and repair semantics to the pool path, and
+    // bit-identical in every campaign observable (batched results equal
+    // scalar results, and a stale or missing one is re-run inline at
+    // commit). The lane count sizes the wavefront, and with it the batch.
     let serial_lanes = params.experiment.lockstep_lanes.max(1);
-    let serial_batching =
-        pool.is_none() && serial_lanes > 1 && params.dispatch == DispatchMode::PrefixSharded;
+    let serial_batching = pool.is_none() && serial_lanes > 1;
     // Degraded mode is announced at most once per campaign: the first
     // time any runner's checkpoint breaker trips (worker or inline).
     let mut degraded_announced = false;
+    let mut announce_degraded = |observer: &mut dyn CampaignObserver, degraded: bool| {
+        if degraded && !degraded_announced {
+            degraded_announced = true;
+            observer.on_event(&CampaignEvent::DegradedMode {
+                reason: "repeated snapshot checksum failures tripped the checkpoint \
+                         breaker; checkpointing is disabled and remaining runs \
+                         cold-start"
+                    .to_string(),
+            });
+        }
+    };
     loop {
         if state.out_of_budget(params.budget) {
             break;
@@ -765,41 +558,23 @@ fn run_rounds(
                             store.lock().flush(tier, params.experiment);
                         }
                     }
-                    // The dispatcher groups the jobs into prefix families
-                    // (or deals them round-robin) — either way the *set*
-                    // of speculated plans is fixed here, after the budget
-                    // cap.
                     pool.execute(admit(strategy, wavefront, params.budget, state))
                 }
                 None if serial_batching && sizer.speculate() => {
-                    // The whole admitted wavefront is one lockstep batch:
-                    // the batch's plan algebra forks plans of different
-                    // prefix families from the leader earlier, so every
-                    // live lane shares one sensor-noise draw per step. A
-                    // lone admitted plan gains nothing from lockstep; the
-                    // commit runs it inline as the serial engine always
-                    // has.
-                    let mut jobs = admit(strategy, wavefront, params.budget, state);
-                    jobs.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                    let mut results = BTreeMap::new();
-                    if jobs.len() >= 2 {
-                        let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) = jobs.into_iter().unzip();
-                        let batched = state.runner.run_batch_contained(plans);
-                        results.extend(tokens.into_iter().zip(batched));
-                    }
-                    (results, false)
+                    // The whole admitted wavefront is one slice: the
+                    // batch's plan algebra forks plans with unrelated
+                    // prefixes from the leader earlier, so every live
+                    // lane shares one sensor-noise draw per step.
+                    let jobs = admit(strategy, wavefront, params.budget, state);
+                    let results = run_slice(&mut state.runner, jobs);
+                    (results.into_iter().collect(), false)
                 }
                 _ => (BTreeMap::new(), false),
             };
-            if (workers_degraded || state.runner.checkpointing_degraded()) && !degraded_announced {
-                degraded_announced = true;
-                observer.on_event(&CampaignEvent::DegradedMode {
-                    reason: "repeated snapshot checksum failures tripped the checkpoint \
-                             breaker; checkpointing is disabled and remaining runs \
-                             cold-start"
-                        .to_string(),
-                });
-            }
+            announce_degraded(
+                observer,
+                workers_degraded || state.runner.checkpointing_degraded(),
+            );
 
             // Phase 3: sequential commit in round order.
             let mut wavefront_found_bug = false;
@@ -852,17 +627,76 @@ fn run_rounds(
             // tripped its breaker while repairing this very wavefront
             // (relevant on the serial path, where this is the only
             // runner there is).
-            if state.runner.checkpointing_degraded() && !degraded_announced {
-                degraded_announced = true;
-                observer.on_event(&CampaignEvent::DegradedMode {
-                    reason: "repeated snapshot checksum failures tripped the checkpoint \
-                             breaker; checkpointing is disabled and remaining runs \
-                             cold-start"
-                        .to_string(),
-                });
-            }
+            announce_degraded(observer, state.runner.checkpointing_degraded());
             sizer.observe_wavefront(wavefront_found_bug);
             start = end;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::Trace;
+    use avis_hinj::FaultSpec;
+    use avis_sim::{SensorInstance, SensorKind};
+    use avis_workload::WorkloadStatus;
+
+    fn plan(time: f64) -> FaultPlan {
+        FaultPlan::from_specs(vec![FaultSpec::new(
+            SensorInstance::new(SensorKind::Gps, 0),
+            time,
+        )])
+    }
+
+    fn result(plan: FaultPlan) -> RunResult {
+        RunResult {
+            plan,
+            trace: Trace {
+                sample_interval: 0.1,
+                samples: Vec::new(),
+                mode_transitions: Vec::new(),
+                collision: None,
+                fence_violations: 0,
+                workload_status: WorkloadStatus::Passed,
+                duration: 0.0,
+                protocol: Vec::new(),
+            },
+            simulated_seconds: 0.0,
+            triggered_defects: Vec::new(),
+            verdict: Default::default(),
+        }
+    }
+
+    #[test]
+    fn collector_skips_the_slice_of_a_worker_whose_receiver_is_closed() {
+        // Worker 0 died in an earlier wavefront: its job receiver is gone.
+        // Worker 1 is healthy and echoes every job it gets. The collector
+        // must return with worker 1's slice instead of waiting forever
+        // for worker 0's.
+        let (dead_tx, dead_rx) = channel::<Vec<Job>>();
+        drop(dead_rx);
+        let (live_tx, live_rx) = channel::<Vec<Job>>();
+        let (result_tx, result_rx) = channel::<WorkerOutcome>();
+        let echo = std::thread::spawn(move || {
+            for slice in live_rx {
+                for (token, plan) in slice {
+                    let _ = result_tx.send(Ok((token, result(plan), false)));
+                }
+            }
+        });
+        let pool = Pool {
+            job_txs: vec![dead_tx, live_tx],
+            result_rx,
+        };
+        let jobs: Vec<Job> = (0..5).map(|t| (t, plan(10.0 + t as f64))).collect();
+        let (results, degraded) = pool.execute(jobs);
+        // Five jobs over two workers: slices of 3 and 2; only the live
+        // worker's second slice comes back.
+        assert_eq!(results.keys().copied().collect::<Vec<_>>(), vec![3, 4]);
+        assert!(!degraded);
+        drop(pool);
+        echo.join()
+            .expect("echo worker exits once the pool is dropped");
     }
 }

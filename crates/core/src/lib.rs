@@ -46,10 +46,8 @@
 //! Long campaigns report live through a [`campaign::CampaignObserver`],
 //! custom search orders plug in through the [`strategy::Strategy`] trait,
 //! and firmware × workload × strategy grids run as one
-//! [`matrix::ScenarioMatrix`]. The legacy
-//! `CheckerConfig::new(approach, experiment, budget)` wiring still works
-//! but is deprecated — `MIGRATION.md` at the repository root maps every
-//! old call to the new API.
+//! [`matrix::ScenarioMatrix`]. `MIGRATION.md` at the repository root maps
+//! calls of removed APIs to their replacements.
 //!
 //! ## Module map
 //!
@@ -65,7 +63,7 @@
 //! | [`strategy`] | §VI | the pluggable [`strategy::Strategy`] trait + built-ins |
 //! | [`campaign`] | §VI | the fluent campaign builder and streaming observers |
 //! | [`matrix`] | §VI | firmware × workload × strategy scenario matrices |
-//! | [`checker`] | §VI | budgets, unsafe-condition records, the legacy shim |
+//! | [`checker`] | §VI | budgets, the approach factory, unsafe-condition records |
 //! | [`engine`] | — | the campaign engine (serial + deterministic parallel) |
 //! | [`metrics`] | Tables III/IV | aggregation into the paper's tables |
 //! | [`report`] | §IV.D | bug reports and replay |
@@ -83,9 +81,11 @@
 //! 1. **Proposal** — the strategy emits its next natural unit of work
 //!    (a SABRE anchor's candidate failure sets, a batch of BFI sites),
 //!    hinting which plans it expects to run.
-//! 2. **Parallel execution** — the hinted plans run concurrently, one
-//!    fresh [`runner::ExperimentRunner`] per worker. Runs are pure
-//!    functions of their fault plan, so results are order-independent.
+//! 2. **Parallel execution** — the hinted plans, sorted by injection
+//!    prefix, are cut into one contiguous slice per worker, and each
+//!    worker runs its slice as one lockstep batch on its own
+//!    [`runner::ExperimentRunner`]. Runs are pure functions of their
+//!    fault plan, so results are order-independent.
 //! 3. **Sequential commit** — in round order, the strategy makes its
 //!    authoritative decisions against the *real* budget and pruning
 //!    state; speculative runs the strategy no longer admits are
@@ -120,10 +120,8 @@ pub mod study;
 pub mod trace;
 
 pub use campaign::{Campaign, CampaignBuilder, CampaignEvent, CampaignObserver, EventLog};
-pub use checker::{
-    Approach, Budget, CampaignResult, Checker, CheckerConfig, CrashRecord, UnsafeCondition,
-};
-pub use engine::{DispatchMode, WorkerStatsCollector};
+pub use checker::{Approach, Budget, CampaignResult, CheckerConfig, CrashRecord, UnsafeCondition};
+pub use engine::WorkerStatsCollector;
 pub use matrix::{MatrixReport, ScenarioMatrix};
 pub use monitor::{
     InvariantMonitor, LivelinessEnvelope, ModeDistanceTable, ModeGraph, MonitorConfig, Violation,

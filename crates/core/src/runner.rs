@@ -63,13 +63,13 @@ pub struct ExperimentConfig {
     /// starve a worker forever (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
     /// Lockstep batching through SoA [`avis_sim::LaneBatch`]es (see
-    /// [`crate::batch`]). `1` disables batching. On the worker pool, `n`
-    /// is the number of sibling scenarios a worker advances together
-    /// from its prefix-sharded family. On the serial path, `n > 1` sizes
-    /// the speculative wavefront at `n × 4` plans, and the whole admitted
-    /// wavefront is one batch. Purely a speed knob: a batched run is
-    /// bit-identical to a scalar one, so this is excluded from the
-    /// experiment fingerprint, exactly like checkpoint placement.
+    /// [`crate::batch`]). `1` disables batching. With `n > 1`, each
+    /// worker runs its contiguous slice of a sorted speculative wavefront
+    /// as one batch; on the serial path, `n` sizes the wavefront at
+    /// `n × 4` plans, and the whole admitted wavefront is one batch.
+    /// Purely a speed knob: a batched run is bit-identical to a scalar
+    /// one, so this is excluded from the experiment fingerprint, exactly
+    /// like checkpoint placement.
     pub lockstep_lanes: usize,
 }
 
@@ -311,7 +311,7 @@ impl ExperimentRunner {
     /// local cache and retracted from the shared tier's pending buffer
     /// (the panicked run's chain is never served to a later fork), so a
     /// crashing (seed, plan) crashes bit-identically cold, checkpointed
-    /// or sharded.
+    /// or on any worker.
     pub fn run_contained(&mut self, plan: FaultPlan) -> RunResult {
         let retained = plan.clone();
         match contain::catch(|| self.execute(plan, 0)) {

@@ -199,8 +199,8 @@ pub trait Strategy: Send {
 
     /// Whether a candidate's speculative plan is still worth executing,
     /// given everything the strategy has observed so far. Non-mutating:
-    /// the parallel engine calls this right before dispatching a chunk
-    /// of speculative work, so a bug committed earlier in the round can
+    /// the engine calls this right before executing a wavefront of
+    /// speculative work, so a bug committed earlier in the round can
     /// cancel now-pruned siblings before they burn a worker. This is an
     /// optimisation hook only — answering `true` for a plan `decide`
     /// later rejects wastes time, never correctness. The default accepts

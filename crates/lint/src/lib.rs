@@ -1,7 +1,7 @@
 //! `avis-lint` — the workspace determinism lint.
 //!
 //! Every guarantee the Avis reproduction makes — bit-identical parallel
-//! replay, cold ≡ checkpointed ≡ delta-chain ≡ sharded execution — is
+//! replay, cold ≡ checkpointed ≡ delta-chain ≡ batched execution — is
 //! otherwise enforced only dynamically, by determinism tests that must
 //! happen to exercise a broken path. This crate makes the determinism
 //! contract machine-checked: an offline, dependency-free static

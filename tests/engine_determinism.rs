@@ -247,14 +247,14 @@ fn bug_dense_campaign_with_pruning_aware_wavefronts_is_deterministic() {
 }
 
 #[test]
-fn dispatch_modes_are_bit_identical_at_every_parallelism() {
-    // Prefix-sharded dispatch pins whole prefix families to workers and
-    // steals across families; round-robin deals jobs out one at a time.
-    // Placement decides only which worker *pre-executes* a run — the
-    // commit path is byte-for-byte shared — so both modes must reproduce
-    // the serial result exactly, on the fixed and the buggy code base.
-    use avis::DispatchMode;
-    let run = |bugs: BugSet, parallelism: usize, dispatch: DispatchMode| {
+fn wavefront_slices_are_bit_identical_at_every_parallelism() {
+    // The pool cuts each sorted wavefront into one contiguous slice per
+    // worker. Parallelism 3 gives uneven slices, one-plan slices (run
+    // scalar) and idle workers; 2 and 4 give even cuts. Slicing decides
+    // only which worker *pre-executes* a run — the commit path is
+    // byte-for-byte shared — so every cut must reproduce the serial
+    // result exactly, on the fixed and the buggy code base.
+    let run = |bugs: BugSet, parallelism: usize| {
         let mut experiment = experiment();
         experiment.bugs = bugs;
         Campaign::builder()
@@ -263,7 +263,6 @@ fn dispatch_modes_are_bit_identical_at_every_parallelism() {
             .budget(Budget::simulations(8))
             .profiling_runs(1)
             .parallelism(parallelism)
-            .dispatch(dispatch)
             .build()
             .run()
     };
@@ -271,12 +270,12 @@ fn dispatch_modes_are_bit_identical_at_every_parallelism() {
         BugSet::none(),
         BugSet::current_code_base(FirmwareProfile::ArduPilotLike),
     ] {
-        let serial = run(bugs.clone(), 1, DispatchMode::PrefixSharded);
-        for dispatch in [DispatchMode::PrefixSharded, DispatchMode::RoundRobin] {
-            let parallel = run(bugs.clone(), 4, dispatch);
+        let serial = run(bugs.clone(), 1);
+        for parallelism in [2, 3, 4] {
             assert_eq!(
-                serial, parallel,
-                "{dispatch:?} at parallelism 4 diverged from the serial engine"
+                serial,
+                run(bugs.clone(), parallelism),
+                "parallelism {parallelism} diverged from the serial engine"
             );
         }
     }
@@ -682,7 +681,7 @@ fn crashing_run_is_contained_and_bit_identical_across_engines() {
     // wavefront contains a run that panics the firmware must (a) survive
     // — the panic is converted into a `Crashed` verdict and reported in
     // `CampaignResult::crashes`, (b) keep executing every other proposed
-    // job (a panicking worker must not leak its shard family), and
+    // job (a panicking run must not leak the rest of its slice), and
     // (c) stay bit-identical at parallelism 1 and 4, with checkpointing
     // on or off.
     let plans = vec![

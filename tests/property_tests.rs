@@ -409,13 +409,10 @@ fn role_signature_symmetry_and_subsets() {
 }
 
 /// Builder setters applied in any order produce the same campaign as the
-/// equivalent legacy `CheckerConfig` construction: the fluent API is a
-/// pure re-spelling of the deprecated one, not a different engine.
+/// same setters applied in one fixed order: `build` resolves precedence,
+/// never call order.
 #[test]
-#[allow(deprecated)] // the property under test IS the legacy-shim equivalence
-fn builder_permutations_match_legacy_checker_config() {
-    use avis::checker::{Checker, CheckerConfig};
-    use avis::runner::ExperimentConfig;
+fn builder_permutations_match_fixed_setter_order() {
     use avis_firmware::{BugSet, FirmwareProfile};
     use avis_workload::{auto_box_mission, manual_box_survey};
 
@@ -435,46 +432,47 @@ fn builder_permutations_match_legacy_checker_config() {
         let profile = FirmwareProfile::ArduPilotLike;
         let bugs = BugSet::current_code_base(profile);
 
-        // ...spell it the legacy way...
-        let mut experiment = ExperimentConfig::new(profile, bugs.clone(), workload.clone());
-        experiment.max_duration = 110.0;
-        let mut config = CheckerConfig::new(approach, experiment, budget);
-        config.profiling_runs = profiling_runs;
-        config.parallelism = parallelism;
-        config.seed = seed;
-        let legacy = Checker::new(config).run();
-
-        // ...and the fluent way, with the setters applied in a random
-        // order (Fisher–Yates over the setter list).
+        // ...spell it with the setters in a fixed order...
         type Setter = Box<dyn FnOnce(CampaignBuilder) -> CampaignBuilder>;
-        let wl = workload.clone();
-        let bg = bugs.clone();
-        let mut setters: Vec<Setter> = vec![
-            Box::new(move |b| b.firmware(profile)),
-            Box::new(move |b| b.bugs(bg)),
-            Box::new(move |b| b.workload(wl)),
-            Box::new(move |b| b.max_duration(110.0)),
-            Box::new(move |b| b.approach(approach)),
-            Box::new(move |b| b.budget(budget)),
-            Box::new(move |b| b.profiling_runs(profiling_runs)),
-            Box::new(move |b| b.parallelism(parallelism)),
-            Box::new(move |b| b.seed(seed)),
-        ];
-        for i in (1..setters.len()).rev() {
+        let setters = || -> Vec<Setter> {
+            let wl = workload.clone();
+            let bg = bugs.clone();
+            vec![
+                Box::new(move |b| b.firmware(profile)),
+                Box::new(move |b| b.bugs(bg)),
+                Box::new(move |b| b.workload(wl)),
+                Box::new(move |b| b.max_duration(110.0)),
+                Box::new(move |b| b.approach(approach)),
+                Box::new(move |b| b.budget(budget)),
+                Box::new(move |b| b.profiling_runs(profiling_runs)),
+                Box::new(move |b| b.parallelism(parallelism)),
+                Box::new(move |b| b.seed(seed)),
+            ]
+        };
+        let fixed = setters()
+            .into_iter()
+            .fold(Campaign::builder(), |builder, setter| setter(builder))
+            .build()
+            .run();
+
+        // ...and with the same setters applied in a random order
+        // (Fisher–Yates over the setter list).
+        let mut shuffled = setters();
+        for i in (1..shuffled.len()).rev() {
             let j = rng.index(i + 1);
-            setters.swap(i, j);
+            shuffled.swap(i, j);
         }
-        let mut builder = Campaign::builder();
-        for setter in setters {
-            builder = setter(builder);
-        }
-        let fluent = builder.build().run();
+        let permuted = shuffled
+            .into_iter()
+            .fold(Campaign::builder(), |builder, setter| setter(builder))
+            .build()
+            .run();
 
         assert_eq!(
-            legacy, fluent,
+            fixed, permuted,
             "case {case}: {approach} budget={budget:?} profiling={profiling_runs} \
-             parallelism={parallelism} seed={seed} diverged between the legacy \
-             config and a permuted builder"
+             parallelism={parallelism} seed={seed} diverged between the fixed \
+             and a permuted setter order"
         );
     }
 }
